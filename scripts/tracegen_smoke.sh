@@ -8,11 +8,10 @@
 # stage: the serial producer's accumulator, or pipeline start -> last
 # block offered when sharded) is reported beside the whole-bench wall —
 # that split is the acceptance metric, since timing replay overlaps
-# generation and dilutes the end-to-end ratio. Two single-threaded micro
-# legs isolate the other trace-gen knobs separately from the sharding
-# win: SIMD render (CATT_NO_AVX2=1 vs default) and the delta-keyed render
-# cache (CATT_RENDER_CACHE=0 vs default), both at trace_threads=1 so the
-# only variable is the knob under test.
+# generation and dilutes the end-to-end ratio. A single-threaded micro leg
+# isolates the SIMD render (CATT_NO_AVX2=1 vs default) separately from the
+# sharding win, at trace_threads=1 so the only variable is the knob under
+# test.
 #
 # usage: tracegen_smoke.sh BENCH_DIR OUT_JSON [ROUNDS]
 set -euo pipefail
@@ -29,11 +28,11 @@ trap 'rm -rf "$work"' EXIT
 # and the comparison would measure nothing.
 unset CATT_CACHE_DIR CATT_SERVE_SOCKET
 
-declare -A wall_1 wall_4 wall_noavx2 wall_nocache
-declare -A gen_1 gen_4 gen_noavx2 gen_nocache
+declare -A wall_1 wall_4 wall_noavx2
+declare -A gen_1 gen_4 gen_noavx2
 for b in $benches; do
-  wall_1[$b]=""; wall_4[$b]=""; wall_noavx2[$b]=""; wall_nocache[$b]=""
-  gen_1[$b]=""; gen_4[$b]=""; gen_noavx2[$b]=""; gen_nocache[$b]=""
+  wall_1[$b]=""; wall_4[$b]=""; wall_noavx2[$b]=""
+  gen_1[$b]=""; gen_4[$b]=""; gen_noavx2[$b]=""
 done
 
 run_one() { # bench results_dir env... -> "wall_ms gen_ms" on stdout
@@ -55,25 +54,22 @@ run_one() { # bench results_dir env... -> "wall_ms gen_ms" on stdout
 for round in $(seq 1 "$rounds"); do
   for b in $benches; do
     # Interleave within the round so drift hits both sides equally. The
-    # two micro legs run serial trace generation with one knob disabled;
-    # their CSVs join the same determinism diff below.
+    # micro leg runs serial trace generation with the AVX2 paths disabled;
+    # its CSVs join the same determinism diff below.
     read -r w1 g1 < <(run_one "$b" "$work/tw1" CATT_TRACE_THREADS=1)
     read -r w4 g4 < <(run_one "$b" "$work/tw4" CATT_TRACE_THREADS=4)
     read -r wv gv < <(run_one "$b" "$work/noavx2" CATT_TRACE_THREADS=1 CATT_NO_AVX2=1)
-    read -r wc gc < <(run_one "$b" "$work/nocache" CATT_TRACE_THREADS=1 CATT_RENDER_CACHE=0)
-    echo "round $round $b wall/gen ms: 1-worker $w1/$g1 4-worker $w4/$g4 no-avx2 $wv/$gv no-cache $wc/$gc" >&2
+    echo "round $round $b wall/gen ms: 1-worker $w1/$g1 4-worker $w4/$g4 no-avx2 $wv/$gv" >&2
     wall_1[$b]+="${wall_1[$b]:+, }$w1";       gen_1[$b]+="${gen_1[$b]:+, }$g1"
     wall_4[$b]+="${wall_4[$b]:+, }$w4";       gen_4[$b]+="${gen_4[$b]:+, }$g4"
     wall_noavx2[$b]+="${wall_noavx2[$b]:+, }$wv";   gen_noavx2[$b]+="${gen_noavx2[$b]:+, }$gv"
-    wall_nocache[$b]+="${wall_nocache[$b]:+, }$wc"; gen_nocache[$b]+="${gen_nocache[$b]:+, }$gc"
   done
 done
 
-# Determinism gate: every CSV the four configurations wrote must match.
+# Determinism gate: every CSV the three configurations wrote must match.
 diff -r "$work/tw1" "$work/tw4" >&2
 diff -r "$work/tw1" "$work/noavx2" >&2
-diff -r "$work/tw1" "$work/nocache" >&2
-echo "CSVs byte-identical across trace_threads={1,4}, CATT_NO_AVX2=1, CATT_RENDER_CACHE=0" >&2
+echo "CSVs byte-identical across trace_threads={1,4}, CATT_NO_AVX2=1" >&2
 
 mean() { # comma-separated list -> integer mean
   echo "$1" | tr ',' '\n' | awk '{s+=$1; n++} END {printf "%d", s/n}'
@@ -95,7 +91,7 @@ fi
 
 {
   echo '{'
-  echo '  "description": "Trace-generation A/B: same binary, table3_tlp_selection and fig9_factor_sweep at CATT_TRACE_THREADS=1 vs 4 (sim_threads=1, caches off, interleaved rounds, CATT_PROFILE=1), plus serial micro legs with CATT_NO_AVX2=1 and CATT_RENDER_CACHE=0; all CSVs verified byte-identical across configurations. gen_ms = summed per-launch trace_gen_ms profile split (generation-stage wall time), the metric trace-worker sharding targets; wall_ms = whole-bench wall-clock.",'
+  echo '  "description": "Trace-generation A/B: same binary, table3_tlp_selection and fig9_factor_sweep at CATT_TRACE_THREADS=1 vs 4 (sim_threads=1, caches off, interleaved rounds, CATT_PROFILE=1), plus a serial micro leg with CATT_NO_AVX2=1; all CSVs verified byte-identical across configurations. gen_ms = summed per-launch trace_gen_ms profile split (generation-stage wall time), the metric trace-worker sharding targets; wall_ms = whole-bench wall-clock.",'
   echo "  \"date\": \"$(date +%F)\","
   echo "  \"rounds\": $rounds,"
   echo "  \"host_cores\": $host_cores,"
@@ -105,7 +101,6 @@ fi
     mw1=$(mean "${wall_1[$b]}");       mg1=$(mean "${gen_1[$b]}")
     mw4=$(mean "${wall_4[$b]}");       mg4=$(mean "${gen_4[$b]}")
     mwv=$(mean "${wall_noavx2[$b]}");  mgv=$(mean "${gen_noavx2[$b]}")
-    mwc=$(mean "${wall_nocache[$b]}"); mgc=$(mean "${gen_nocache[$b]}")
     printf '%s  "%s": {\n' "$sep" "$b"
     printf '    "one_worker": {"wall_ms_runs": [%s], "gen_ms_runs": [%s], "wall_ms_mean": %s, "gen_ms_mean": %s},\n' \
       "${wall_1[$b]}" "${gen_1[$b]}" "$mw1" "$mg1"
@@ -113,12 +108,9 @@ fi
       "${wall_4[$b]}" "${gen_4[$b]}" "$mw4" "$mg4"
     printf '    "no_avx2": {"wall_ms_runs": [%s], "gen_ms_runs": [%s], "wall_ms_mean": %s, "gen_ms_mean": %s},\n' \
       "${wall_noavx2[$b]}" "${gen_noavx2[$b]}" "$mwv" "$mgv"
-    printf '    "no_render_cache": {"wall_ms_runs": [%s], "gen_ms_runs": [%s], "wall_ms_mean": %s, "gen_ms_mean": %s},\n' \
-      "${wall_nocache[$b]}" "${gen_nocache[$b]}" "$mwc" "$mgc"
     printf '    "worker_gen_speedup": %s,\n' "$(ratio "$mg1" "$mg4")"
     printf '    "worker_wall_speedup": %s,\n' "$(ratio "$mw1" "$mw4")"
-    printf '    "simd_micro_gen_speedup": %s,\n' "$(ratio "$mgv" "$mg1")"
-    printf '    "render_cache_micro_gen_speedup": %s\n' "$(ratio "$mgc" "$mg1")"
+    printf '    "simd_micro_gen_speedup": %s\n' "$(ratio "$mgv" "$mg1")"
     printf '  }'
     sep=$',\n'
   done

@@ -12,7 +12,12 @@
 // and every bounds check holds over the whole grid box. Warps that fail
 // any condition (or touch anything non-affine) fall back to the concrete
 // VM per block, so the result is bit-identical by construction, never
-// heuristic.
+// heuristic. Symbolization runs before the first block under a key, so
+// no block is executed concretely only to be re-derived.
+//
+// A symbolic pass costs about two concrete block runs and a render about
+// a quarter of one, so dedup pays only from the third block under a key;
+// the runner leaves the key at 0 (dedup off) below that.
 //
 // The cache is keyed by (kernel fingerprint, launch config, block-
 // invariant params) — see PlanEntry::trace_key in the runner — and lives
@@ -82,9 +87,9 @@ class TraceDedup {
 std::vector<ParamWarpTrace> symbolize(const bc::Program& prog, const arch::LaunchConfig& launch);
 
 /// Renders one parametric warp trace for a concrete block. `table`
-/// resolves site slots to ids (already assigned by the generation block's
-/// concrete execution). Transactions land in `pool` (shared by the
-/// block's warps).
+/// resolves site slots to ids; the generation block's renders and VM
+/// fallbacks assign them, in warp order, so later blocks only read it.
+/// Transactions land in `pool` (shared by the block's warps).
 WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
                  const arch::Dim3& block_idx, int line_bytes,
                  const std::shared_ptr<TxnPool>& pool);

@@ -1,7 +1,6 @@
 #include "gpusim/gpu.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -24,6 +23,32 @@ std::uint64_t SimOptions::fingerprint() const {
   // identically to a pre-seam SimOptions (memoized results stay valid).
   if (sched.enabled()) h.u64(sched.fingerprint());
   return h.value();
+}
+
+void KernelStats::accumulate(const KernelStats& next) {
+  for (sched::Decision d : next.sched_decisions) {
+    d.cycle += cycles;
+    sched_decisions.push_back(d);
+  }
+  cycles += next.cycles;
+  l1 += next.l1;
+  l2 += next.l2;
+  dram_lines += next.dram_lines;
+  warp_insts += next.warp_insts;
+  mem_insts += next.mem_insts;
+  mem_requests += next.mem_requests;
+  lane_cycles += next.lane_cycles;
+  lane_mem_insts += next.lane_mem_insts;
+  div.merge(next.div);
+  sm_steps += next.sm_steps;
+  warps_scanned += next.warps_scanned;
+  queue_pops += next.queue_pops;
+  sched_vetoes += next.sched_vetoes;
+  sched_victim_tag_hits += next.sched_victim_tag_hits;
+  sched_updates += next.sched_updates;
+  sched_throttle_level = std::max(sched_throttle_level, next.sched_throttle_level);
+  sched_paused_tbs = next.sched_paused_tbs;
+  sched_max_paused_tbs = std::max(sched_max_paused_tbs, next.sched_max_paused_tbs);
 }
 
 Gpu::Gpu(const arch::GpuArch& arch, DeviceMemory& mem)
@@ -110,13 +135,6 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     interp.set_functional(false);
     if (opts.trace_key != 0) interp.enable_dedup(dedup_, opts.trace_key);
   }
-  // CATT_RENDER_CACHE=0 force-disables the delta-keyed render cache (the
-  // perf-smoke A/B knob); the SimOptions field is the programmatic switch.
-  bool render_cache = opts.render_cache;
-  if (const char* env = std::getenv("CATT_RENDER_CACHE"); env != nullptr && *env == '0') {
-    render_cache = false;
-  }
-  interp.set_render_cache(render_cache);
 
   // Observability: resolved once per launch; null means every hook below
   // is skipped (and in CATT_OBS=OFF builds the compiler deletes them).
@@ -243,15 +261,12 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     reg.add(reg.counter("sim.warps_issued"), stats.warp_insts);
     reg.add(reg.counter("sim.queue_pops"), stats.queue_pops);
     // Trace-generation attribution: how blocks were produced (rendered
-    // vs concretely executed warps), what the render cache saved, and
-    // the sharding width the pipeline actually used.
+    // vs concretely executed warps) and the sharding width the pipeline
+    // actually used.
     reg.set(reg.gauge("sim.tracegen.workers"),
             static_cast<std::uint64_t>(trace_workers_used));
     reg.add(reg.counter("sim.tracegen.warps_rendered"), interp.warps_rendered());
     reg.add(reg.counter("sim.tracegen.warps_executed"), interp.warps_executed());
-    reg.add(reg.counter("sim.tracegen.render_cache_hits"), interp.render_cache_hits());
-    reg.add(reg.counter("sim.tracegen.render_cache_bytes_saved"),
-            interp.render_cache_bytes_saved());
     if (opts.sched.enabled()) {
       reg.add(reg.counter("sim.sched.vetoes"), stats.sched_vetoes);
       reg.add(reg.counter("sim.sched.victim_tag_hits"), stats.sched_victim_tag_hits);
@@ -296,8 +311,6 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " total_ms=" + std::to_string(total_ms) +
         " warps_rendered=" + std::to_string(interp.warps_rendered()) +
         " warps_executed=" + std::to_string(interp.warps_executed()) +
-        " render_cache_hits=" + std::to_string(interp.render_cache_hits()) +
-        " render_cache_bytes_saved=" + std::to_string(interp.render_cache_bytes_saved()) +
         " sm_steps=" + std::to_string(stats.sm_steps) +
         " warps_scanned=" + std::to_string(stats.warps_scanned) +
         " warps_issued=" + std::to_string(stats.warp_insts) +

@@ -76,13 +76,6 @@ struct SimOptions {
   /// trace-worker oracle stage.
   int trace_threads = 0;
 
-  /// Per-launch delta-keyed render cache for dedup'd trace generation
-  /// (see KernelInterp::set_render_cache). On by default; a pure speed
-  /// knob, bit-identical either way (pinned by fuzz_kernel_test and
-  /// timing_test). CATT_RENDER_CACHE=0 in the environment disables it
-  /// when this field is left true (the A/B knob for perf smoke runs).
-  bool render_cache = true;
-
   /// Observability attachment (null = environment defaults, see
   /// obs::resolve). Read-only for the simulator; sinks inside are written.
   const obs::SimObs* obs = nullptr;
@@ -90,13 +83,13 @@ struct SimOptions {
   /// Stable content hash; part of the exec::SimCache key (options that
   /// change simulated behaviour or collected outputs must be included).
   /// skip_functional/trace_key/use_stepped_reference/sim_threads/
-  /// trace_threads/render_cache/obs are deliberately EXCLUDED: all but
-  /// the last are pure execution-strategy switches that cannot change
-  /// any collected output (sim_threads/trace_threads/render_cache are
-  /// bit-exact by construction), and observability must never
-  /// perturb memoization keys (runner_test pins trace-on/off CSVs
-  /// byte-identical through the cache). `sched` folds in only when
-  /// enabled, so a "none" config hashes identically to pre-seam builds.
+  /// trace_threads/obs are deliberately EXCLUDED: all but the last are
+  /// pure execution-strategy switches that cannot change any collected
+  /// output (sim_threads/trace_threads are bit-exact by construction),
+  /// and observability must never perturb memoization keys (runner_test
+  /// pins trace-on/off CSVs byte-identical through the cache). `sched`
+  /// folds in only when enabled, so a "none" config hashes identically
+  /// to pre-seam builds.
   std::uint64_t fingerprint() const;
 };
 
@@ -140,6 +133,14 @@ struct KernelStats {
   /// Figure 2 series: mean coalesced requests per load instruction, over
   /// dynamic instruction sequence (bucketed).
   std::vector<SeriesAccum::Point> request_trace;
+
+  /// Folds the stats of a later launch of the same kernel into this one
+  /// (a schedule entry's repeats): counters and cycles sum, DivCounters
+  /// merge, throttle level and peak paused TBs take the maximum,
+  /// paused_tbs is the later launch's final state, and the later
+  /// decisions are appended with their cycles shifted past this
+  /// aggregate's. kernel_name, occ and request_trace keep this launch's.
+  void accumulate(const KernelStats& next);
 
   double l1_hit_rate() const { return l1.hit_rate(); }
   /// Mean transactions per memory instruction (divergence measure).

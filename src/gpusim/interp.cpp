@@ -86,7 +86,6 @@ void KernelInterp::set_functional(bool on) {
 void KernelInterp::enable_dedup(dedup::TraceDedup& cache, std::uint64_t key) {
   entry_ = &cache.entry(key);
   table_ = &entry_->table;
-  render_cache_.resize(static_cast<std::size_t>(warps_per_block()));
 }
 
 bool KernelInterp::parallel_renderable() const {
@@ -96,43 +95,6 @@ bool KernelInterp::parallel_renderable() const {
     if (!w.valid) return false;
   }
   return true;
-}
-
-WarpTrace KernelInterp::render_warp(std::size_t w, const arch::Dim3& bid,
-                                    const std::shared_ptr<TxnPool>& pool) {
-  const dedup::ParamWarpTrace& pt = entry_->warps[w];
-  if (!render_cache_on_) {
-    return dedup::render(pt, *prog_, entry_->table, bid, line_bytes_, pool);
-  }
-
-  // The rendered bytes depend on bid only through the per-mem-event
-  // deltas; the delta vector is the exact cache key.
-  std::vector<std::uint64_t> key;
-  key.reserve(pt.events.size());
-  for (const dedup::ParamEvent& pe : pt.events) {
-    if (pe.kind != EventKind::kMem) continue;
-    key.push_back(static_cast<std::uint64_t>(pe.dx) * bid.x +
-                  static_cast<std::uint64_t>(pe.dy) * bid.y +
-                  static_cast<std::uint64_t>(pe.dz) * bid.z);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = render_cache_[w].find(key);
-    if (it != render_cache_[w].end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_bytes_saved_.fetch_add(it->second.bytes(), std::memory_order_relaxed);
-      return it->second;  // shared-storage handle: a refcount bump
-    }
-  }
-  // Miss: render outside the lock (concurrent duplicate renders of the
-  // same key produce identical traces; keeping whichever inserts first
-  // is benign). The cached copy pins its block's TxnPool for the launch.
-  WarpTrace t = dedup::render(pt, *prog_, entry_->table, bid, line_bytes_, pool);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    render_cache_[w].emplace(std::move(key), t);
-  }
-  return t;
 }
 
 void KernelInterp::ensure_compiled() {
@@ -157,14 +119,12 @@ std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
 
 std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear) {
   if (!entry_->generated) {
-    // First block under this key: execute it concretely (assigning site ids
-    // in first-encounter order), then derive the block-parametric traces.
-    // Symbolization never assigns ids — renders resolve slots against ids
-    // the concrete runs established.
-    std::vector<WarpTrace> out = run_block_vm(block_linear);
+    // First block under this key: prove the warps before running any, so
+    // this block renders its proven warps like every later one.
+    // Symbolization never assigns site ids; renders and VM fallbacks do,
+    // in warp order below, which is the first-encounter order.
     entry_->warps = dedup::symbolize(*prog_, launch_);
     entry_->generated = true;
-    return out;
   }
 
   const arch::Dim3 bid = arch::delinearize(block_linear, launch_.grid);
@@ -177,7 +137,8 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
     const bool affine = static_cast<std::size_t>(w) < entry_->warps.size() &&
                         entry_->warps[static_cast<std::size_t>(w)].valid;
     if (affine) {
-      out.push_back(render_warp(static_cast<std::size_t>(w), bid, pool));
+      out.push_back(dedup::render(entry_->warps[static_cast<std::size_t>(w)], *prog_,
+                                  entry_->table, bid, line_bytes_, pool));
       rendered_.fetch_add(1, std::memory_order_relaxed);
     } else {
       if (!vm_block_set) {

@@ -6,9 +6,12 @@
 // program (bytecode.hpp) and warps run as a tight dispatch loop over
 // 32-wide lane vectors. Optionally, block-parametric trace dedup
 // (dedup.hpp) proves most warps' traces are affine translates across
-// blocks and renders them instead of re-executing. Both stages are
-// trace-exact: the original tree-walk implementation survives as
-// RefKernelInterp (ref_interp.hpp) and vm_test.cpp pins equality.
+// blocks and renders them instead of executing them. The proof runs
+// before the first block under a trace key, so every block, that one
+// included, renders its proven warps and runs only the rest on the VM.
+// Both stages are trace-exact: the original tree-walk implementation
+// survives as RefKernelInterp (ref_interp.hpp) and vm_test.cpp pins
+// equality.
 //
 // Modeling notes (documented limitations):
 //  * Warps of a block execute sequentially at trace-generation time, so
@@ -23,7 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,21 +67,20 @@ class KernelInterp {
 
   /// Attaches the block-parametric trace cache under `key`. Requires a
   /// trace-pure kernel; renders affine warps instead of executing them.
+  /// The first block under a fresh key symbolizes every warp before any
+  /// of them runs; that block then renders and executes like every later
+  /// one, in warp order, so site ids keep their first-encounter order.
   void enable_dedup(dedup::TraceDedup& cache, std::uint64_t key);
-
-  /// Toggles the per-launch delta-keyed render cache (on by default).
-  /// Purely a speed knob: traces are bit-identical either way.
-  void set_render_cache(bool on) { render_cache_on_ = on; }
 
   /// True once every warp of a block can be rendered from the parametric
   /// traces with no VM fallback — the condition under which run_block is
   /// safe to call from concurrent trace workers for distinct blocks:
   /// renders only read the program, the symbolic warps and the site table
-  /// (all ids were assigned by the generation block's concrete run; grid-
+  /// (all ids were assigned while the generation block rendered; grid-
   /// uniform control flow means no rendered warp can reference a site the
   /// generation block did not encounter). Any invalid warp means later
-  /// blocks run the concrete VM, which assigns site ids in block order
-  /// and mutates lane state — strictly serial.
+  /// blocks run the concrete VM, which mutates lane state — strictly
+  /// serial.
   bool parallel_renderable() const;
 
   /// Dedup counters (for CATT_PROFILE attribution). Relaxed atomics:
@@ -87,20 +88,10 @@ class KernelInterp {
   std::uint64_t warps_rendered() const { return rendered_.load(std::memory_order_relaxed); }
   std::uint64_t warps_executed() const { return executed_.load(std::memory_order_relaxed); }
 
-  /// Render-cache counters (sim.tracegen.* observability).
-  std::uint64_t render_cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t render_cache_bytes_saved() const {
-    return cache_bytes_saved_.load(std::memory_order_relaxed);
-  }
-
  private:
   void ensure_compiled();
   std::vector<WarpTrace> run_block_vm(std::uint64_t block_linear);
   std::vector<WarpTrace> run_block_dedup(std::uint64_t block_linear);
-  WarpTrace render_warp(std::size_t w, const arch::Dim3& bid,
-                        const std::shared_ptr<TxnPool>& pool);
 
   const ir::Kernel& kernel_;
   arch::LaunchConfig launch_;
@@ -123,20 +114,6 @@ class KernelInterp {
 
   std::atomic<std::uint64_t> rendered_{0};
   std::atomic<std::uint64_t> executed_{0};
-
-  /// Delta-keyed render cache. Warp w of block (bx,by,bz) renders a trace
-  /// fully determined by the per-mem-event byte deltas dx*bx+dy*by+dz*bz
-  /// (the base addresses, cycle counts and site ids are block-invariant),
-  /// so blocks whose delta vectors coincide — every kernel that ignores
-  /// one or more block coordinates in its addressing — share one
-  /// immutable rendered trace. A hit is a map lookup plus a WarpTrace
-  /// refcount bump. Mutex-guarded: trace workers render concurrently; on
-  /// a racing miss both render (identical bytes) and first insert wins.
-  bool render_cache_on_ = true;
-  std::mutex cache_mu_;
-  std::vector<std::map<std::vector<std::uint64_t>, WarpTrace>> render_cache_;
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_bytes_saved_{0};
 
   /// Recycles per-block TxnPool allocations (safe against the pipeline's
   /// cross-thread release of finished traces).

@@ -90,9 +90,9 @@ void TracePipeline::leader_loop() {
   }
   std::vector<std::thread> extra;
   if (num_blocks_ > 0) {
-    // Block 0 first, serially: its concrete execution assigns the dedup
-    // site ids and symbolization derives the parametric warps — the only
-    // order-sensitive generation work in the launch.
+    // Block 0 first, serially: symbolization derives the parametric warps
+    // and the block's renders and VM runs assign the dedup site ids — the
+    // only order-sensitive generation work in the launch.
     {
       obs::Accum gen;
       if (reg_ != nullptr) gen = obs::Accum(reg_, reg_->counter("sim.trace_gen_us"));

@@ -65,7 +65,8 @@ struct PlanEntry {
   KernelChoice choice;
   std::uint64_t key = 0;
   /// Trace-dedup cache key: (kernel, launch, params) fingerprints, without
-  /// the chain prefix — repeats and identical re-launches share it.
+  /// the chain prefix — repeats and identical re-launches share it. 0 (dedup
+  /// off) when the launches sharing it cover fewer than kMinDedupBlocks.
   std::uint64_t trace_key = 0;
 };
 
@@ -87,6 +88,13 @@ struct RunOutput {
   std::vector<sim::KernelStats> launches;
   std::int64_t total_cycles = 0;
 };
+
+/// Fewest blocks (summed over every launch sharing a trace key) at which
+/// trace dedup pays for itself. Symbolizing a launch costs about two
+/// concrete block runs and rendering a block about a quarter of one, so
+/// at 2 blocks symbolize-and-render loses to running both on the VM
+/// (corr_kernel: 1.2-2.1 s symbolizing against 0.8-1.2 s executing).
+constexpr std::uint64_t kMinDedupBlocks = 3;
 
 /// Builds the plan for `w` by applying `fn` to every schedule entry.
 /// fn(original, entry, choice) returns the (possibly transformed) kernel
@@ -119,6 +127,14 @@ RunPlan make_plan(const arch::GpuArch& arch, const sim::SimOptions& sim_options,
     plan.all_pure = plan.all_pure && sim::bc::trace_data_independent(pe.kernel);
     plan.entries.push_back(std::move(pe));
   }
+  std::unordered_map<std::uint64_t, std::uint64_t> blocks_per_key;
+  for (const PlanEntry& pe : plan.entries) {
+    blocks_per_key[pe.trace_key] +=
+        pe.run->launch.num_blocks() * static_cast<std::uint64_t>(pe.run->repeats);
+  }
+  for (PlanEntry& pe : plan.entries) {
+    if (blocks_per_key[pe.trace_key] < kMinDedupBlocks) pe.trace_key = 0;
+  }
   plan.chain = chain;
   return plan;
 }
@@ -137,13 +153,7 @@ sim::KernelStats simulate_entry(sim::Gpu& gpu, const PlanEntry& pe,
     if (r == 0) {
       agg = std::move(s);
     } else {
-      agg.cycles += s.cycles;
-      agg.l1 += s.l1;
-      agg.l2 += s.l2;
-      agg.dram_lines += s.dram_lines;
-      agg.warp_insts += s.warp_insts;
-      agg.mem_insts += s.mem_insts;
-      agg.mem_requests += s.mem_requests;
+      agg.accumulate(s);
     }
   }
   agg.kernel_name = entry.kernel;
@@ -472,13 +482,7 @@ AppResult Runner::run_dyncta_impl(const wl::Workload& w, const Dyncta& p) {
       if (r == 0) {
         agg = std::move(s);
       } else {
-        agg.cycles += s.cycles;
-        agg.l1 += s.l1;
-        agg.l2 += s.l2;
-        agg.dram_lines += s.dram_lines;
-        agg.warp_insts += s.warp_insts;
-        agg.mem_insts += s.mem_insts;
-        agg.mem_requests += s.mem_requests;
+        agg.accumulate(s);
       }
     }
     agg.kernel_name = entry.kernel;

@@ -5,14 +5,10 @@
 // row of the tile with their bank's taps (coalesced, blockIdx-parametric
 // addressing in both grid dimensions).
 //
-// Besides being the suite's only producer/consumer warp-specialized
-// kernel, this workload exists to exercise the trace-dedup *render cache*
-// on the bench path: every other workload indexes every array by global
-// id, so block coordinates enter every warp's delta key and the cache
-// only ever misses (see TimingEngine.RenderCacheHitsOnBlockInvariantKernel).
-// Here the producer warp's per-event translate deltas are all zero, so
-// every block past the first rendered one hits the cache — perf-smoke
-// sweeps finally exercise the hit path, not just the synthetic test.
+// It is the suite's only producer/consumer warp-specialized kernel, and
+// the only one whose trace-dedup render of a warp (the producer's) is
+// block-invariant: every other workload indexes every array by global id,
+// so block coordinates enter every warp's translate deltas.
 //
 // Classification: CI. The inner loop's footprint is a couple of cache
 // lines per warp (contiguous taps window), far under the L1D, so Eq. 6
@@ -74,7 +70,7 @@ __global__ void fbank_apply(float *sig, float *taps, float *out, int W, int TAPS
                   static_cast<std::uint32_t>(tile_rows)};
   const expr::ParamEnv params{{"W", w_cols}, {"TAPS", taps}, {"BANK", bank}};
   // Two passes (analysis + synthesis sweep of the same bank): repeats are
-  // separate launches, so the render cache is exercised per launch.
+  // separate launches sharing one trace-dedup entry.
   w.schedule = {{"fbank_apply", {grid, block}, params, /*repeats=*/2}};
   w.setup = [rows, w_cols, taps, bank](sim::DeviceMemory& mem) {
     mem.alloc_f32("sig",

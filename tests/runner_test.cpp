@@ -583,3 +583,157 @@ TEST(Daemon, ShutdownOpUnblocksWait) {
 
 }  // namespace
 }  // namespace catt::throttle
+// Appended: trace-generation strategy and repeat aggregation through the
+// Runner — which launches get trace dedup (the fewer-than-3-blocks rule),
+// and that an entry's repeats fold every KernelStats field.
+#include "gpusim/gpu.hpp"
+
+namespace catt::throttle {
+namespace {
+
+/// Every field a repeat aggregate or an execution-strategy switch must
+/// leave equal (kernel_name, occ and request_trace are per-entry facts).
+void expect_same_stats(const sim::KernelStats& got, const sim::KernelStats& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.cycles, want.cycles) << label;
+  EXPECT_EQ(got.l1.accesses, want.l1.accesses) << label;
+  EXPECT_EQ(got.l1.hits, want.l1.hits) << label;
+  EXPECT_EQ(got.l1.misses, want.l1.misses) << label;
+  EXPECT_EQ(got.l1.store_accesses, want.l1.store_accesses) << label;
+  EXPECT_EQ(got.l2.accesses, want.l2.accesses) << label;
+  EXPECT_EQ(got.l2.hits, want.l2.hits) << label;
+  EXPECT_EQ(got.l2.misses, want.l2.misses) << label;
+  EXPECT_EQ(got.l2.store_accesses, want.l2.store_accesses) << label;
+  EXPECT_EQ(got.dram_lines, want.dram_lines) << label;
+  EXPECT_EQ(got.warp_insts, want.warp_insts) << label;
+  EXPECT_EQ(got.mem_insts, want.mem_insts) << label;
+  EXPECT_EQ(got.mem_requests, want.mem_requests) << label;
+  EXPECT_EQ(got.lane_cycles, want.lane_cycles) << label;
+  EXPECT_EQ(got.lane_mem_insts, want.lane_mem_insts) << label;
+  EXPECT_TRUE(got.div == want.div) << label;
+  EXPECT_EQ(got.sm_steps, want.sm_steps) << label;
+  EXPECT_EQ(got.warps_scanned, want.warps_scanned) << label;
+  EXPECT_EQ(got.queue_pops, want.queue_pops) << label;
+  EXPECT_EQ(got.sched_vetoes, want.sched_vetoes) << label;
+  EXPECT_EQ(got.sched_victim_tag_hits, want.sched_victim_tag_hits) << label;
+  EXPECT_EQ(got.sched_updates, want.sched_updates) << label;
+  EXPECT_EQ(got.sched_throttle_level, want.sched_throttle_level) << label;
+  EXPECT_EQ(got.sched_paused_tbs, want.sched_paused_tbs) << label;
+  EXPECT_EQ(got.sched_max_paused_tbs, want.sched_max_paused_tbs) << label;
+  EXPECT_TRUE(got.sched_decisions == want.sched_decisions) << label;
+}
+
+/// An obs attachment that only counts: the interval exceeds every
+/// launch, so no series is sampled.
+struct CountingObs {
+  obs::Registry registry;
+  obs::SimObs ob;
+  CountingObs() {
+    ob.metrics_interval = 1 << 30;
+    ob.registry = &registry;
+  }
+  std::uint64_t rendered() const {
+    return registry.scrape().counter_or("sim.tracegen.warps_rendered");
+  }
+};
+
+std::uint64_t warps_rendered_by_baseline(const std::string& name) {
+  CountingObs counting;
+  Runner r(bench::max_l1d_arch());
+  r.sim_options.obs = &counting.ob;
+  r.run(wl::find_workload(name, 2), Baseline{});
+  return counting.rendered();
+}
+
+TEST(TraceDedup, RunnerSkipsDedupBelowThreeBlocksPerKey) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  // Every corr launch is a distinct kernel on a 2-block grid, so no key
+  // reaches the threshold: nothing is symbolized or rendered.
+  EXPECT_EQ(warps_rendered_by_baseline("corr"), 0u);
+  EXPECT_GT(warps_rendered_by_baseline("atax"), 0u);
+}
+
+TEST(TraceDedup, TwoBlockLaunchIdenticalWithAndWithoutTraceKey) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const wl::Workload& w = wl::find_workload("corr", 2);
+  const wl::KernelRun& run = w.schedule.front();
+  ASSERT_EQ(run.launch.num_blocks(), 2u);
+  auto simulate = [&](std::uint64_t trace_key, std::uint64_t& rendered) {
+    CountingObs counting;
+    sim::DeviceMemory mem;
+    w.setup(mem);
+    sim::Gpu gpu(bench::max_l1d_arch(), mem);
+    sim::SimOptions o;
+    o.skip_functional = true;
+    o.trace_key = trace_key;
+    o.obs = &counting.ob;
+    const sim::KernelStats s = gpu.run({&w.kernel(run.kernel), run.launch, run.params}, o);
+    rendered = counting.rendered();
+    return s;
+  };
+  std::uint64_t rendered_dedup = 0;
+  std::uint64_t rendered_vm = 0;
+  const sim::KernelStats dedup = simulate(0x2b10c, rendered_dedup);
+  const sim::KernelStats vm = simulate(0, rendered_vm);
+  EXPECT_GT(rendered_dedup, 0u);  // guard: the keyed run really rendered
+  EXPECT_EQ(rendered_vm, 0u);
+  expect_same_stats(dedup, vm, run.kernel);
+}
+
+// cfd_compute_flux runs twice per application. Its aggregate must be the
+// sum of two single Gpu::run calls in every field, the policy telemetry
+// included; the adaptive scheduler makes the sched_* fields non-trivial.
+TEST(RepeatedLaunches, AggregateIsTheSumOfTheRepeatsOnCfd) {
+  const wl::Workload& w = wl::find_workload("cfd", 2);
+  Runner r(bench::max_l1d_arch());
+  r.sim_options.sched = sim::sched::PolicyConfig::parse("adaptive");
+  const AppResult res = r.run(w, Baseline{});
+  ASSERT_EQ(res.launches.size(), w.schedule.size());
+
+  // Skipping functional effects cannot change any stat, so the replay
+  // runs functionally whether or not the runner did.
+  sim::DeviceMemory mem;
+  w.setup(mem);
+  sim::Gpu gpu(bench::max_l1d_arch(), mem);
+  bool saw_repeat = false;
+  for (std::size_t e = 0; e < w.schedule.size(); ++e) {
+    const wl::KernelRun& run = w.schedule[e];
+    const sim::LaunchSpec spec{&w.kernel(run.kernel), run.launch, run.params};
+    sim::KernelStats want = gpu.run(spec, r.sim_options);
+    for (int rep = 1; rep < run.repeats; ++rep) {
+      saw_repeat = true;
+      const sim::KernelStats s = gpu.run(spec, r.sim_options);
+      // Guards: the second launch has telemetry and decisions to fold in.
+      EXPECT_GT(s.sched_vetoes, 0u) << run.kernel;
+      EXPECT_FALSE(s.sched_decisions.empty()) << run.kernel;
+      for (sim::sched::Decision d : s.sched_decisions) {
+        d.cycle += want.cycles;
+        want.sched_decisions.push_back(d);
+      }
+      want.cycles += s.cycles;
+      want.l1 += s.l1;
+      want.l2 += s.l2;
+      want.dram_lines += s.dram_lines;
+      want.warp_insts += s.warp_insts;
+      want.mem_insts += s.mem_insts;
+      want.mem_requests += s.mem_requests;
+      want.lane_cycles += s.lane_cycles;
+      want.lane_mem_insts += s.lane_mem_insts;
+      want.div.merge(s.div);
+      want.sm_steps += s.sm_steps;
+      want.warps_scanned += s.warps_scanned;
+      want.queue_pops += s.queue_pops;
+      want.sched_vetoes += s.sched_vetoes;
+      want.sched_victim_tag_hits += s.sched_victim_tag_hits;
+      want.sched_updates += s.sched_updates;
+      want.sched_throttle_level = std::max(want.sched_throttle_level, s.sched_throttle_level);
+      want.sched_paused_tbs = s.sched_paused_tbs;
+      want.sched_max_paused_tbs = std::max(want.sched_max_paused_tbs, s.sched_max_paused_tbs);
+    }
+    expect_same_stats(res.launches[e], want, w.name + "/" + run.kernel);
+  }
+  EXPECT_TRUE(saw_repeat);
+}
+
+}  // namespace
+}  // namespace catt::throttle

@@ -84,9 +84,8 @@ TEST(VmGolden, AllWorkloadKernelsTraceIdentical) {
 }
 
 // Dedup bit-identity on a pure multi-block kernel: rendered traces must
-// equal both the reference interpreter's and a VM-only interp's output for
-// every block, and a second launch under the same key must re-render from
-// the cached entry.
+// equal the reference interpreter's output for every block, and a second
+// launch under the same key must re-render from the cached entry.
 TEST(VmDedup, RenderedTracesBitIdenticalAcrossLaunches) {
   const wl::Workload w = wl::make_atax(2);
   const wl::KernelRun& run = w.schedule.front();
@@ -112,18 +111,51 @@ TEST(VmDedup, RenderedTracesBitIdenticalAcrossLaunches) {
                           label + " block " + std::to_string(b));
     }
     expect_sites_equal(ref.sites(), vm.sites(), label);
-    EXPECT_GT(vm.warps_rendered(), 0u) << label;
-    if (launch == 0) {
-      // Generation pass: exactly one block executed concretely.
-      EXPECT_EQ(vm.warps_executed(), static_cast<std::uint64_t>(vm.warps_per_block())) << label;
-    } else {
-      // Cache hit across launches: no concrete execution at all.
-      EXPECT_EQ(vm.warps_executed(), 0u) << label;
-      EXPECT_EQ(vm.warps_rendered(),
-                run.launch.num_blocks() * static_cast<std::uint64_t>(vm.warps_per_block()))
-          << label;
+    // Every atax warp symbolizes, so the generation pass renders its first
+    // block too, and the second launch renders from the cached entry: no
+    // warp of either launch runs on the VM.
+    EXPECT_EQ(vm.warps_executed(), 0u) << label;
+    EXPECT_EQ(vm.warps_rendered(),
+              run.launch.num_blocks() * static_cast<std::uint64_t>(vm.warps_per_block()))
+        << label;
+  }
+}
+
+// Symbolize-first on a generation block that mixes proven and Bail'ed
+// warps: corr_kernel's warps are partly block-affine, so its first block
+// renders some warps and runs the rest on the VM, in warp order. Both
+// blocks' traces and the site table (ids in first-encounter order) must
+// match the reference interpreter bit for bit.
+TEST(VmDedup, MixedRenderAndVmFirstBlockMatchesReference) {
+  const wl::Workload w = wl::make_corr(2);
+  const wl::KernelRun* run = nullptr;
+  for (const wl::KernelRun& r : w.schedule) {
+    if (r.kernel == "corr_kernel") run = &r;
+  }
+  ASSERT_NE(run, nullptr);
+  const ir::Kernel& k = w.kernel(run->kernel);
+  ASSERT_TRUE(bc::trace_data_independent(k)) << "corr_kernel should be trace-pure";
+  ASSERT_EQ(run->launch.num_blocks(), 2u);
+
+  DeviceMemory mem_ref;
+  DeviceMemory mem_vm;
+  w.setup(mem_ref);
+  w.setup(mem_vm);
+  dedup::TraceDedup cache;
+  RefKernelInterp ref(k, run->launch, run->params, mem_ref, kLineBytes);
+  KernelInterp vm(k, run->launch, run->params, mem_vm, kLineBytes);
+  vm.set_functional(false);
+  vm.enable_dedup(cache, 0x5eed);
+  for (std::uint64_t b = 0; b < run->launch.num_blocks(); ++b) {
+    expect_traces_equal(ref.run_block(b), vm.run_block(b),
+                        "corr_kernel block " + std::to_string(b));
+    if (b == 0) {
+      // The generation block itself mixes renders and VM runs.
+      EXPECT_GT(vm.warps_rendered(), 0u);
+      EXPECT_GT(vm.warps_executed(), 0u);
     }
   }
+  expect_sites_equal(ref.sites(), vm.sites(), "corr_kernel");
 }
 
 TEST(VmPurity, AtaxIsTracePureBfsIsNot) {
