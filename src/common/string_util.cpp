@@ -1,6 +1,7 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace catt {
 
@@ -22,6 +23,13 @@ std::string_view trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+std::optional<int> parse_positive_int(std::string_view s) {
+  int n = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (ec != std::errc{} || end != s.data() + s.size() || n <= 0) return std::nullopt;
+  return n;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -33,9 +33,10 @@ class Pool {
   int size() const { return static_cast<int>(workers_.size()); }
 
   /// Worker count used when none is given: the CATT_JOBS environment
-  /// variable if set to a positive integer, else hardware_concurrency —
-  /// divided by the per-launch sim-thread width (CATT_SIM_THREADS) so
-  /// the two layers share one core budget instead of multiplying.
+  /// variable if it is a positive decimal integer, else
+  /// hardware_concurrency. A set but malformed CATT_JOBS (trailing junk,
+  /// out of range, zero or negative) prints one warning to stderr and
+  /// falls back to hardware_concurrency.
   static int default_jobs();
 
   /// Process-wide pool shared by all Runners that are not handed one.

@@ -1,6 +1,7 @@
 #include "frontend/lexer.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -142,7 +143,13 @@ std::vector<Token> lex(const std::string& source) {
         t.fval = std::strtod(num.c_str(), nullptr);
       } else {
         t.kind = TokKind::kIntLit;
-        t.ival = std::strtoll(num.c_str(), nullptr, 0);
+        char* end = nullptr;
+        errno = 0;
+        t.ival = std::strtoll(num.c_str(), &end, 0);
+        if (*end != '\0') throw ParseError("malformed integer literal '" + num + "'", line, col);
+        if (errno == ERANGE) {
+          throw ParseError("integer literal '" + num + "' out of range", line, col);
+        }
       }
       out.push_back(std::move(t));
       continue;

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -50,7 +51,7 @@ class Parser {
     int pending_regs = 0;  // 0 = no directive pending
     while (!at_eof()) {
       if (peek().kind == TokKind::kDirective) {
-        pending_regs = parse_regs_directive(next().text);
+        pending_regs = parse_regs_directive(next());
         continue;
       }
       Kernel k = kernel();
@@ -108,12 +109,21 @@ class Parser {
     throw ParseError(msg, peek().line, peek().col);
   }
 
-  static int parse_regs_directive(const std::string& text) {
-    const auto parts = split(text, '=');
+  /// `//@regs=N`: N must be a positive decimal integer that fits an int.
+  /// Anything else is a diagnostic, never a silent fallback to the
+  /// default register count.
+  static int parse_regs_directive(const Token& tok) {
+    const auto parts = split(tok.text, '=');
     if (parts.size() != 2 || trim(parts[0]) != "regs") {
-      throw ParseError("unknown directive //@" + text, 0, 0);
+      throw ParseError("unknown directive //@" + tok.text, tok.line, tok.col);
     }
-    return static_cast<int>(std::strtol(std::string(trim(parts[1])).c_str(), nullptr, 10));
+    const std::string_view value = trim(parts[1]);
+    const std::optional<int> n = parse_positive_int(value);
+    if (!n) {
+      throw ParseError("//@regs needs a positive integer, got '" + std::string(value) + "'",
+                       tok.line, tok.col);
+    }
+    return *n;
   }
 
   // ---- declarations ----

@@ -9,7 +9,6 @@
 #include "common/profile.hpp"
 #include "gpusim/engine.hpp"
 #include "gpusim/interp.hpp"
-#include "gpusim/parallel.hpp"
 #include "gpusim/sm.hpp"
 #include "gpusim/sm_ref.hpp"
 #include "obs/obs.hpp"
@@ -175,18 +174,10 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     for (int i = 0; i < arch_.num_sms; ++i) policies.push_back(sched::make_policy(opts.sched));
   }
 
-  // < 0 while the serial interpreter path is used; overwritten with the
-  // producer-side wall time when the trace pipeline ran (trace generation
-  // then overlaps timing, so the CATT_PROFILE split is reported
-  // differently below).
-  double pipeline_gen_ms = -1.0;
-  double pipeline_wait_ms = 0.0;
-  int trace_workers_used = 1;
-
+  InterpSource source(interp, trace_gen);
   if (opts.use_stepped_reference) {
     std::vector<SmRef> sms = make_sms<SmRef>(arch_, memsys_, occ, opts.collect_request_trace,
                                              series, trace, policies);
-    InterpSource source(interp, trace_gen);
     stats.cycles = run_stepped_loop(sms, source, spec, num_blocks, trace);
     aggregate_sm_stats(stats, sms);
   } else {
@@ -202,35 +193,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
           std::make_unique<IntervalSampler>(*ob, sms, memsys_, spec.kernel->name);
       sampler = sampler_storage.get();
     }
-    const int threads = resolve_sim_threads(opts.sim_threads);
-    const int trace_threads = resolve_trace_threads(opts.trace_threads);
-    // Fine-grained tracing records per-issue events from inside SM steps;
-    // those assume a single timeline, so it pins the serial engine.
-    const bool fine_trace = trace != nullptr && trace->fine();
-    if ((threads > 1 || trace_threads > 1) && !fine_trace) {
-      // Trace generation moves to producer threads even when the launch
-      // is too small for multi-SM partitioning (workers == 1): pipeline
-      // overlap is profitable on its own. Queue depth scales with the
-      // trace-worker count so sharded producers have room to run ahead.
-      obs::Registry* reg = ob != nullptr ? &ob->registry_or_global() : nullptr;
-      const std::size_t depth = std::max<std::size_t>(
-          {2, 2 * sms.size(), 2 * static_cast<std::size_t>(trace_threads)});
-      TracePipeline pipeline(interp, num_blocks, depth, trace_threads, reg, ob);
-      const int workers = std::min<int>(threads, static_cast<int>(sms.size()));
-      if (workers > 1) {
-        stats.cycles = run_parallel_loop(sms, pipeline, spec, num_blocks, memsys_, arch_,
-                                         workers, trace, sampler, ob);
-      } else {
-        stats.cycles = run_event_loop(sms, pipeline, spec, num_blocks, trace, sampler);
-      }
-      pipeline.finish();
-      pipeline_gen_ms = pipeline.gen_ms();
-      pipeline_wait_ms = pipeline.wait_ms();
-      trace_workers_used = pipeline.workers_used();
-    } else {
-      InterpSource source(interp, trace_gen);
-      stats.cycles = run_event_loop(sms, source, spec, num_blocks, trace, sampler);
-    }
+    stats.cycles = run_event_loop(sms, source, spec, num_blocks, trace, sampler);
     if (sampler != nullptr) sampler->finish(stats.cycles);
     aggregate_sm_stats(stats, sms);
   }
@@ -261,10 +224,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     reg.add(reg.counter("sim.warps_issued"), stats.warp_insts);
     reg.add(reg.counter("sim.queue_pops"), stats.queue_pops);
     // Trace-generation attribution: how blocks were produced (rendered
-    // vs concretely executed warps) and the sharding width the pipeline
-    // actually used.
-    reg.set(reg.gauge("sim.tracegen.workers"),
-            static_cast<std::uint64_t>(trace_workers_used));
+    // vs concretely executed warps).
     reg.add(reg.counter("sim.tracegen.warps_rendered"), interp.warps_rendered());
     reg.add(reg.counter("sim.tracegen.warps_executed"), interp.warps_executed());
     if (opts.sched.enabled()) {
@@ -297,17 +257,12 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
 
   if (prof::enabled()) {
     const double total_ms = total.ms();
-    const bool overlapped = pipeline_gen_ms >= 0.0;
-    const double gen_ms = overlapped ? pipeline_gen_ms : trace_gen.ms();
-    // With the pipeline, generation runs concurrently with timing, so the
-    // whole wall time is timing; the consumer's stall time is what the
-    // overlap failed to hide.
-    const double timing_ms = overlapped ? total_ms : total_ms - gen_ms;
-    std::string line =
+    const double gen_ms = trace_gen.ms();
+    const std::string line =
         "kernel=" + spec.kernel->name + " blocks=" + std::to_string(num_blocks) +
         " cycles=" + std::to_string(stats.cycles) +
         " trace_gen_ms=" + std::to_string(gen_ms) +
-        " timing_ms=" + std::to_string(timing_ms) +
+        " timing_ms=" + std::to_string(total_ms - gen_ms) +
         " total_ms=" + std::to_string(total_ms) +
         " warps_rendered=" + std::to_string(interp.warps_rendered()) +
         " warps_executed=" + std::to_string(interp.warps_executed()) +
@@ -315,10 +270,6 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " warps_scanned=" + std::to_string(stats.warps_scanned) +
         " warps_issued=" + std::to_string(stats.warp_insts) +
         " queue_pops=" + std::to_string(stats.queue_pops);
-    if (overlapped) {
-      line += " pipeline_wait_ms=" + std::to_string(pipeline_wait_ms) +
-              " trace_workers=" + std::to_string(trace_workers_used);
-    }
     prof::report(line);
   }
   return stats;

@@ -88,15 +88,6 @@ void KernelInterp::enable_dedup(dedup::TraceDedup& cache, std::uint64_t key) {
   table_ = &entry_->table;
 }
 
-bool KernelInterp::parallel_renderable() const {
-  if (entry_ == nullptr || !entry_->generated || functional_) return false;
-  if (entry_->warps.size() != static_cast<std::size_t>(warps_per_block())) return false;
-  for (const dedup::ParamWarpTrace& w : entry_->warps) {
-    if (!w.valid) return false;
-  }
-  return true;
-}
-
 void KernelInterp::ensure_compiled() {
   if (prog_) return;
   prog_.emplace(bc::compile(kernel_, launch_, params_, mem_,
@@ -112,7 +103,7 @@ std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
   auto pool = arena_.acquire();
   for (int w = 0; w < warps; ++w) {
     out.push_back(vm_->run_warp(w, *table_, pool));
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    ++executed_;
   }
   return out;
 }
@@ -139,14 +130,14 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
     if (affine) {
       out.push_back(dedup::render(entry_->warps[static_cast<std::size_t>(w)], *prog_,
                                   entry_->table, bid, line_bytes_, pool));
-      rendered_.fetch_add(1, std::memory_order_relaxed);
+      ++rendered_;
     } else {
       if (!vm_block_set) {
         vm_->set_block(block_linear);
         vm_block_set = true;
       }
       out.push_back(vm_->run_warp(w, *table_, pool));
-      executed_.fetch_add(1, std::memory_order_relaxed);
+      ++executed_;
     }
   }
   return out;

@@ -22,7 +22,6 @@
 //    have no inter-block data dependences within a launch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -72,21 +71,9 @@ class KernelInterp {
   /// one, in warp order, so site ids keep their first-encounter order.
   void enable_dedup(dedup::TraceDedup& cache, std::uint64_t key);
 
-  /// True once every warp of a block can be rendered from the parametric
-  /// traces with no VM fallback — the condition under which run_block is
-  /// safe to call from concurrent trace workers for distinct blocks:
-  /// renders only read the program, the symbolic warps and the site table
-  /// (all ids were assigned while the generation block rendered; grid-
-  /// uniform control flow means no rendered warp can reference a site the
-  /// generation block did not encounter). Any invalid warp means later
-  /// blocks run the concrete VM, which mutates lane state — strictly
-  /// serial.
-  bool parallel_renderable() const;
-
-  /// Dedup counters (for CATT_PROFILE attribution). Relaxed atomics:
-  /// trace workers bump them concurrently; totals are read after join.
-  std::uint64_t warps_rendered() const { return rendered_.load(std::memory_order_relaxed); }
-  std::uint64_t warps_executed() const { return executed_.load(std::memory_order_relaxed); }
+  /// Dedup counters (for CATT_PROFILE attribution).
+  std::uint64_t warps_rendered() const { return rendered_; }
+  std::uint64_t warps_executed() const { return executed_; }
 
  private:
   void ensure_compiled();
@@ -112,11 +99,10 @@ class KernelInterp {
   bc::SiteTable* table_ = &own_table_;  // entry's table when dedup is on
   dedup::DedupEntry* entry_ = nullptr;
 
-  std::atomic<std::uint64_t> rendered_{0};
-  std::atomic<std::uint64_t> executed_{0};
+  std::uint64_t rendered_ = 0;
+  std::uint64_t executed_ = 0;
 
-  /// Recycles per-block TxnPool allocations (safe against the pipeline's
-  /// cross-thread release of finished traces).
+  /// Recycles per-block TxnPool allocations.
   TxnArena arena_;
 };
 

@@ -166,9 +166,7 @@ class SchedPolicy {
   /// stats, `ready_warps` the instantaneous issuable-warp count,
   /// `mshr_in_flight` the datapath's in-flight miss count at `now` and
   /// `insts_retired` the SM's cumulative retired-instruction count (all
-  /// exact between events, and identical at any CATT_SIM_THREADS: per-SM
-  /// step times and datapath state match the serial schedule by the
-  /// parallel engine's window invariant — see DESIGN.md). The retired
+  /// exact between events). The retired
   /// count is the outcome signal: a policy that probes a throttle level
   /// can compare per-interval IPC before and after instead of trusting
   /// the cache signature alone.
@@ -194,8 +192,7 @@ class SchedPolicy {
 
   /// True when an SM with no live warps may skip this policy's update
   /// clock entirely (the event engine's idle early-exit). The adaptive
-  /// policy opts in so trailing idle steps — which the parallel engine's
-  /// lanes take and the serial loop does not — have no observable effect;
+  /// policy opts in, so an idle SM's trailing wake-ups cost it no update;
   /// the hardware baselines keep the pre-existing always-tick behaviour.
   virtual bool idle_skippable() const { return false; }
 

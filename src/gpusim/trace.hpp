@@ -188,10 +188,11 @@ class WarpTrace {
 /// for large grids. The arena hands back cleared pools with their
 /// capacity intact, so steady state allocates nothing.
 ///
-/// Under the trace/timing pipeline, acquire() runs on the producer thread
-/// while release happens wherever the last trace reference dies, so the
-/// freelist is mutex-guarded; the custom deleter shares ownership of the
-/// state, making returns safe even after the arena itself is gone.
+/// A pool returns to the freelist wherever its last trace reference dies.
+/// Today that is the launch's own simulation thread, so the freelist
+/// mutex is never contended; it keeps returns safe for any caller that
+/// hands traces across threads. The custom deleter shares ownership of
+/// the state, so returns stay safe even after the arena itself is gone.
 class TxnArena {
  public:
   std::shared_ptr<TxnPool> acquire() {

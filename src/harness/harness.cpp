@@ -243,43 +243,6 @@ std::vector<PolicyColumn> policies_from_args(int argc, char** argv,
   return out;
 }
 
-int sim_threads_from_args(int argc, char** argv) {
-  const std::string spec = harness::flag_or_env(argc, argv, "sim-threads", "CATT_SIM_THREADS");
-  if (spec.empty()) return 0;
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(spec, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != spec.size() || n < 0) {
-    std::fprintf(stderr, "[bench] --sim-threads needs a non-negative integer, got '%s'\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-  return n;
-}
-
-int trace_threads_from_args(int argc, char** argv) {
-  const std::string spec =
-      harness::flag_or_env(argc, argv, "trace-threads", "CATT_TRACE_THREADS");
-  if (spec.empty()) return 0;
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(spec, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != spec.size() || n < 0) {
-    std::fprintf(stderr, "[bench] --trace-threads needs a non-negative integer, got '%s'\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-  return n;
-}
-
 std::shared_ptr<exec::DiskCache> cache_from_args(int argc, char** argv) {
   std::string spec = harness::flag_or_env(argc, argv, "cache", nullptr);
   if (spec.empty()) {

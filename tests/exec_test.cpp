@@ -4,8 +4,15 @@
 // (b) the SimCache dedupes duplicate candidates so they simulate once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "exec/cache_key.hpp"
 #include "exec/pool.hpp"
@@ -28,6 +35,69 @@ TEST(Pool, RunsAllSubmittedJobs) {
 }
 
 TEST(Pool, DefaultJobsIsPositive) { EXPECT_GE(exec::Pool::default_jobs(), 1); }
+
+/// Sets (or, for null, unsets) CATT_JOBS for one scope.
+class ScopedJobsEnv {
+ public:
+  explicit ScopedJobsEnv(const char* value) {
+    if (const char* old = std::getenv("CATT_JOBS")) saved_ = old;
+    if (value != nullptr) {
+      ::setenv("CATT_JOBS", value, 1);
+    } else {
+      ::unsetenv("CATT_JOBS");
+    }
+  }
+  ~ScopedJobsEnv() {
+    if (saved_) {
+      ::setenv("CATT_JOBS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("CATT_JOBS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+int hardware_jobs() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+TEST(Pool, DefaultJobsReadsPositiveCattJobs) {
+  for (const auto& [text, want] :
+       std::vector<std::pair<const char*, int>>{{"1", 1}, {"4", 4}, {"123", 123}}) {
+    const ScopedJobsEnv env(text);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(exec::Pool::default_jobs(), want) << text;
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << text;
+  }
+}
+
+TEST(Pool, DefaultJobsWithoutCattJobsIsHardwareConcurrency) {
+  for (const char* text : {static_cast<const char*>(nullptr), ""}) {
+    const ScopedJobsEnv env(text);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(exec::Pool::default_jobs(), hardware_jobs());
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  }
+}
+
+// Trailing junk, signs, blanks, zero and out-of-range values are all
+// rejected with exactly one warning naming the value, then fall back to
+// hardware concurrency.
+TEST(Pool, DefaultJobsRejectsMalformedCattJobs) {
+  for (const char* text : {"4x", "-2", "abc", "0", "+4", " 4", "4 ", "2.5",
+                           "99999999999999999999", "2147483648"}) {
+    const ScopedJobsEnv env(text);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(exec::Pool::default_jobs(), hardware_jobs()) << text;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string("CATT_JOBS='") + text + "'"), std::string::npos)
+        << text << ": " << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << text << ": " << err;
+  }
+}
 
 TEST(SweepEngine, MapKeysResultsByCandidateIndex) {
   exec::Pool pool(3);

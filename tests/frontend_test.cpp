@@ -2,6 +2,8 @@
 // re-parse round-trip property over all the repo's embedded kernels.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
@@ -53,6 +55,24 @@ TEST(Lexer, TracksLineAndColumn) {
   EXPECT_EQ(toks[0].line, 1);
   EXPECT_EQ(toks[1].line, 2);
   EXPECT_EQ(toks[1].col, 3);
+}
+
+// Out-of-range integer literals used to saturate silently inside strtoll;
+// they, and digit runs strtoll cannot fully consume, are now diagnosed at
+// the literal's position.
+TEST(Lexer, MalformedIntegerLiteralsAreDiagnosed) {
+  EXPECT_EQ(lex("9223372036854775807")[0].ival, 9223372036854775807LL);
+  for (const char* lit : {"99999999999999999999", "9223372036854775808",
+                          "0x10000000000000000", "0x", "08"}) {
+    try {
+      lex(std::string("x = ") + lit + ";");
+      ADD_FAILURE() << lit << ": expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 1) << lit;
+      EXPECT_EQ(e.col(), 5) << lit;
+      EXPECT_NE(std::string(e.what()).find(lit), std::string::npos) << e.what();
+    }
+  }
 }
 
 constexpr const char* kAtax = R"(
@@ -190,6 +210,38 @@ TEST(Parser, ErrorHasLocation) {
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_NE(std::string(e.what()).find("qq"), std::string::npos);
+  }
+}
+
+// A //@regs value that is not a positive integer used to be read as 0, a
+// negative count or a numeric prefix, and the kernel silently ran with
+// the default 32 registers. Every such value is now a located diagnostic.
+TEST(Parser, MalformedRegsDirectiveIsDiagnosed) {
+  for (const char* value : {"abc", "-4", "40abc", "", "0", "+4", "4.5",
+                            "99999999999999999999", "2147483648"}) {
+    const std::string src =
+        std::string("\n//@regs=") + value + "\n__global__ void f(float *A) { A[0] = 1.0f; }";
+    try {
+      parse_kernel(src);
+      ADD_FAILURE() << "'" << value << "': expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << value;
+      EXPECT_EQ(e.col(), 1) << value;
+      EXPECT_NE(std::string(e.what()).find("//@regs"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(parse_kernel("//@regs= 64 \n__global__ void f(float *A) { A[0] = 1.0f; }")
+                .regs_per_thread,
+            64);
+}
+
+TEST(Parser, UnknownDirectiveHasLocation) {
+  try {
+    parse_kernel("\n\n  //@unroll=4\n__global__ void f(float *A) { A[0] = 1.0f; }");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(e.col(), 3);
   }
 }
 

@@ -185,7 +185,7 @@ TEST(CacheFromArgsDeathTest, BadSpecExitsTwo) {
 }
 
 }  // namespace
-// Appended: daemon auto-detection (--sim-threads= plumbing rides along).
+// Appended: daemon auto-detection.
 // The contract under test: a dead or stale CATT_SERVE_SOCKET must degrade
 // to local simulation — client_from_env() returns null and an AutoRunner
 // still answers run() with the local Runner's (byte-identical) result —
@@ -193,38 +193,6 @@ TEST(CacheFromArgsDeathTest, BadSpecExitsTwo) {
 #include "workloads/workload.hpp"
 
 namespace {
-
-TEST(SimThreadsFromArgs, ParsesFlagEnvAndDefault) {
-  {
-    const ScopedEnv env("CATT_SIM_THREADS", "");
-    char arg0[] = "bench";
-    char* argv0[] = {arg0};
-    EXPECT_EQ(bench::sim_threads_from_args(1, argv0), 0);
-
-    char arg1[] = "--sim-threads=4";
-    char* argv1[] = {arg0, arg1};
-    EXPECT_EQ(bench::sim_threads_from_args(2, argv1), 4);
-  }
-  {
-    const ScopedEnv env("CATT_SIM_THREADS", "2");
-    char arg0[] = "bench";
-    char* argv0[] = {arg0};
-    EXPECT_EQ(bench::sim_threads_from_args(1, argv0), 2);
-  }
-}
-
-TEST(SimThreadsFromArgsDeathTest, BadValueExitsTwo) {
-  const ScopedEnv env("CATT_SIM_THREADS", "");
-  char arg0[] = "bench";
-  char bad[] = "--sim-threads=fast";
-  char* argv_bad[] = {arg0, bad};
-  EXPECT_EXIT((void)bench::sim_threads_from_args(2, argv_bad), ::testing::ExitedWithCode(2),
-              "non-negative integer");
-  char neg[] = "--sim-threads=-1";
-  char* argv_neg[] = {arg0, neg};
-  EXPECT_EXIT((void)bench::sim_threads_from_args(2, argv_neg), ::testing::ExitedWithCode(2),
-              "non-negative integer");
-}
 
 TEST(ClientFromEnv, UnsetReturnsNull) {
   const ScopedEnv env("CATT_SERVE_SOCKET", "");

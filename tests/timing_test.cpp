@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "gpusim/gpu.hpp"
-#include "obs/obs.hpp"
 #include "workloads/workload.hpp"
 
 namespace catt::sim {
@@ -89,54 +88,6 @@ TEST(TimingEngine, MatchesReferenceUnderTbCapAndRequestTrace) {
   opts.collect_request_trace = true;
   run_workload_both_engines(wl::find_workload("atax", 2), opts);
   run_workload_both_engines(wl::find_workload("hp", 2), opts);
-}
-
-// Sharded trace workers are a pure trace-generation speed knob: a dedup'd
-// schedule run with 4 workers must produce per-launch KernelStats and
-// interval-sampler series bit-identical to the serial-producer run.
-TEST(TimingEngine, TraceWorkersDoNotPerturbStatsOrIntervalSamples) {
-  const wl::Workload& w = wl::find_workload("atax", 2);
-  struct RunOut {
-    std::vector<KernelStats> stats;
-    std::vector<obs::LaunchSeries> series;
-  };
-  auto run_schedule = [&](int trace_threads) {
-    RunOut out;
-    obs::Registry registry;  // local: keeps the process registry test-clean
-    obs::SimObs so;
-    so.metrics_interval = 2048;
-    so.registry = &registry;
-    so.on_series = [&](const obs::LaunchSeries& s) { out.series.push_back(s); };
-    DeviceMemory mem;
-    w.setup(mem);
-    Gpu gpu(arch::GpuArch::titan_v(2), mem);
-    for (std::size_t e = 0; e < w.schedule.size(); ++e) {
-      const wl::KernelRun& run = w.schedule[e];
-      SimOptions o;
-      o.skip_functional = true;
-      o.trace_key = e + 1;  // per-entry keys: repeats of an entry share traces
-      o.sim_threads = 1;
-      o.trace_threads = trace_threads;
-      o.obs = &so;
-      const LaunchSpec spec{&w.kernel(run.kernel), run.launch, run.params};
-      out.stats.push_back(gpu.run(spec, o));
-    }
-    return out;
-  };
-  const RunOut base = run_schedule(1);
-  const RunOut sharded = run_schedule(4);
-  ASSERT_EQ(base.stats.size(), sharded.stats.size());
-  for (std::size_t i = 0; i < base.stats.size(); ++i) {
-    expect_stats_equal(sharded.stats[i], base.stats[i],
-                       "trace-worker launch " + std::to_string(i));
-  }
-  ASSERT_EQ(base.series.size(), sharded.series.size());
-  EXPECT_FALSE(base.series.empty());  // guard: an empty-vs-empty pass pins nothing
-  for (std::size_t i = 0; i < base.series.size(); ++i) {
-    EXPECT_EQ(sharded.series[i].kernel, base.series[i].kernel) << "series " << i;
-    EXPECT_EQ(sharded.series[i].interval, base.series[i].interval) << "series " << i;
-    EXPECT_EQ(sharded.series[i].csv_rows(), base.series[i].csv_rows()) << "series " << i;
-  }
 }
 
 // The scheduler-policy seam's identity pin: an explicit `--sched=none`
