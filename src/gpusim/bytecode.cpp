@@ -1145,52 +1145,10 @@ CATT_LANE_OP(lanes_cast_f, double, double, (void)b;
 
 #undef CATT_LANE_OP
 
-/// Accumulates per-site lane addresses between flush points and converts
-/// them into coalesced Mem events — the exact algorithm (and event order)
-/// of the tree-walk interpreter.
-struct TraceBuilder {
-  WarpTrace& t;
-  int line_bytes;
-
-  struct Rec {
-    std::uint16_t site;
-    bool is_store;
-    std::vector<std::uint64_t> byte_addrs;
-  };
-  std::vector<Rec> recs;
-
-  void compute(std::uint32_t cycles, std::uint32_t active) { t.push_compute(cycles, active); }
-
-  Rec& rec_for(std::uint16_t site, bool is_store) {
-    for (auto& r : recs) {
-      if (r.site == site && r.is_store == is_store) return r;
-    }
-    recs.push_back({site, is_store, {}});
-    return recs.back();
-  }
-
-  void flush() {
-    for (auto& r : recs) {
-      // Lane work = per-lane accesses before coalescing (recorded while
-      // the addresses are still one-per-active-lane).
-      t.begin_mem(r.site, r.is_store, static_cast<std::uint32_t>(r.byte_addrs.size()));
-      auto& addrs = r.byte_addrs;
-      const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
-      for (auto& a : addrs) a /= 32;
-      std::sort(addrs.begin(), addrs.end());
-      addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-      for (std::uint64_t sector : addrs) {
-        t.mem_sector(sector / sectors_per_line);
-      }
-    }
-    recs.clear();
-  }
-};
-
 }  // namespace
 
-Vm::Vm(const Program& prog, const arch::LaunchConfig& launch, int line_bytes, bool functional)
-    : p_(prog), launch_(launch), line_bytes_(line_bytes), functional_(functional) {
+Vm::Vm(const Program& prog, const arch::LaunchConfig& launch, bool functional)
+    : p_(prog), launch_(launch), functional_(functional) {
   ir_.assign(static_cast<std::size_t>(p_.n_iregs), {});
   fr_.assign(static_cast<std::size_t>(p_.n_fregs), {});
   for (const auto& [reg, v] : p_.const_i) ir_[reg].fill(v);
@@ -1215,9 +1173,37 @@ void Vm::set_block(std::uint64_t block_linear) {
   }
 }
 
-WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>& pool) {
-  WarpTrace t(pool);
-  TraceBuilder tb{t, line_bytes_, {}};
+Vm::SiteAccess& Vm::access_for(std::uint16_t site, bool is_store) {
+  for (std::size_t k = 0; k < open_; ++k) {
+    if (access_[k].site == site && access_[k].is_store == is_store) return access_[k];
+  }
+  if (open_ == access_.size()) access_.emplace_back();
+  SiteAccess& a = access_[open_++];
+  a.site = site;
+  a.is_store = is_store;
+  a.sectors.clear();
+  return a;
+}
+
+/// Turns the lane sectors recorded since the last flush point into kMem
+/// events, one per site in first-access order — the exact algorithm (and
+/// event order) of the tree-walk interpreter. Coalesced instructions
+/// record ascending sectors, so the sort runs only for scattered ones.
+void Vm::flush(TraceData& t) {
+  for (std::size_t k = 0; k < open_; ++k) {
+    std::vector<std::uint64_t>& s = access_[k].sectors;
+    if (!std::is_sorted(s.begin(), s.end())) std::sort(s.begin(), s.end());
+    // Lane work = per-lane accesses before coalescing.
+    t.push_mem(access_[k].site, access_[k].is_store, static_cast<std::uint32_t>(s.size()),
+               s.data(), s.size());
+  }
+  open_ = 0;
+}
+
+WarpTrace Vm::run_warp(int wid, SiteTable& sites) {
+  auto trace = std::make_shared<TraceData>();
+  TraceData& t = *trace;
+  open_ = 0;  // a warp that faulted may have left sites open
 
   for (const std::uint16_t r : p_.var_iregs) ir_[r].fill(0);
   for (const std::uint16_t r : p_.var_fregs) fr_[r].fill(0.0);
@@ -1453,7 +1439,7 @@ WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>
         const SiteSlot& slot = p_.sites[static_cast<std::size_t>(ins.x)];
         DeviceArray& arr = *slot.array;
         const std::uint16_t site = sites.id_for(p_, ins.x);
-        auto& rec = tb.rec_for(site, false);
+        auto& rec = access_for(site, false).sectors;
         const auto& idx = ir_[ins.a];
         const std::uint64_t elem = ir::elem_size(arr.type);
         const std::size_t count = arr.count();
@@ -1461,7 +1447,7 @@ WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>
           const int l = std::countr_zero(m);
           const std::int64_t x = idx[l];
           if (x < 0 || static_cast<std::size_t>(x) >= count) oob(slot.array_name, x, count);
-          rec.byte_addrs.push_back(arr.base + static_cast<std::uint64_t>(x) * elem);
+          rec.push_back((arr.base + static_cast<std::uint64_t>(x) * elem) / 32);
           if (functional_) {
             if ((ins.t & 1) != 0) {
               fr_[ins.dst][l] = arr.f[static_cast<std::size_t>(x)];
@@ -1498,7 +1484,7 @@ WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>
         const SiteSlot& slot = p_.sites[static_cast<std::size_t>(ins.x)];
         DeviceArray& arr = *slot.array;
         const std::uint16_t site = sites.id_for(p_, ins.x);
-        auto& rec = tb.rec_for(site, true);
+        auto& rec = access_for(site, true).sectors;
         const auto& idx = ir_[ins.a];
         const std::uint64_t elem = ir::elem_size(arr.type);
         const std::size_t count = arr.count();
@@ -1507,7 +1493,7 @@ WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>
           const int l = std::countr_zero(m);
           const std::int64_t x = idx[l];
           if (x < 0 || static_cast<std::size_t>(x) >= count) oob(slot.array_name, x, count);
-          rec.byte_addrs.push_back(arr.base + static_cast<std::uint64_t>(x) * elem);
+          rec.push_back((arr.base + static_cast<std::uint64_t>(x) * elem) / 32);
           if (functional_) {
             if ((ins.t & 1) != 0) {
               const double v = val_f ? fr_[ins.b][l] : static_cast<double>(ir_[ins.b][l]);
@@ -1548,10 +1534,10 @@ WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>
         break;
       }
       case Op::kCompute:
-        tb.compute(static_cast<std::uint32_t>(ins.x), rs.active_lanes());
+        t.push_compute(static_cast<std::uint32_t>(ins.x), rs.active_lanes());
         break;
       case Op::kFlush:
-        tb.flush();
+        flush(t);
         break;
       case Op::kBarrier:
         t.push_barrier();
@@ -1624,7 +1610,7 @@ WarpTrace Vm::run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>
       case Op::kEnd:
         t.set_div(rs.counters());
         t.push_end();
-        return t;
+        return WarpTrace(std::move(trace));
     }
     ++pc;
   }

@@ -171,11 +171,12 @@ struct SiteTable {
   }
 };
 
-/// Executes one block's warps over a compiled program. Register planes and
-/// shared buffers are allocated once and reused across blocks.
+/// Executes one block's warps over a compiled program. Register planes,
+/// shared buffers and the coalescer's per-site scratch are allocated once
+/// and reused across instructions, warps and blocks.
 class Vm {
  public:
-  Vm(const Program& prog, const arch::LaunchConfig& launch, int line_bytes, bool functional);
+  Vm(const Program& prog, const arch::LaunchConfig& launch, bool functional);
 
   /// Selects the block: fills blockIdx registers and zeroes shared memory.
   void set_block(std::uint64_t block_linear);
@@ -183,20 +184,32 @@ class Vm {
   /// Toggles functional global-memory effects (see KernelInterp).
   void set_functional(bool on) { functional_ = on; }
 
-  /// Runs warp `wid` of the current block and returns its trace; coalesced
-  /// transactions are appended to `pool` (shared by the block's warps).
-  WarpTrace run_warp(int wid, SiteTable& sites, const std::shared_ptr<TxnPool>& pool);
+  /// Runs warp `wid` of the current block and returns its trace (zero
+  /// sector strides: it is concrete for this block).
+  WarpTrace run_warp(int wid, SiteTable& sites);
 
  private:
+  /// Lane sectors one site has recorded since the last flush point.
+  struct SiteAccess {
+    std::uint16_t site = 0;
+    bool is_store = false;
+    std::vector<std::uint64_t> sectors;
+  };
+  SiteAccess& access_for(std::uint16_t site, bool is_store);
+  void flush(TraceData& t);
+
   const Program& p_;
   arch::LaunchConfig launch_;
-  int line_bytes_;
   bool functional_;
   std::uint64_t block_linear_ = 0;
   std::vector<std::array<std::int64_t, kWarp>> ir_;
   std::vector<std::array<double, kWarp>> fr_;
   std::vector<std::vector<float>> shf_;         // by shared slot
   std::vector<std::vector<std::int32_t>> shi_;  // by shared slot
+  /// Coalescer scratch: the first `open_` entries are the sites recorded
+  /// since the last flush; the rest keep their capacity for reuse.
+  std::vector<SiteAccess> access_;
+  std::size_t open_ = 0;
 };
 
 /// True when every trace the kernel can generate (event sequence, compute

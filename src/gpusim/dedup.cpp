@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "gpusim/simd.hpp"
 
 namespace catt::sim::dedup {
 
@@ -64,9 +63,9 @@ struct SFSca {
 struct SymRec {
   std::int32_t slot;
   bool is_store;
-  std::int64_t dx, dy, dz;  // byte deltas; uniform across all accesses
+  std::int64_t sx, sy, sz;  // sector strides; uniform across all accesses
   bool have_delta;
-  std::vector<std::uint64_t> base_addrs;
+  std::vector<std::uint64_t> sectors;  // lane sectors at block (0,0,0)
 };
 
 class Symbolic {
@@ -157,20 +156,6 @@ class Symbolic {
 
   // ---- trace event capture ----
 
-  void emit_compute(std::uint32_t cycles, std::uint32_t active) {
-    auto& ev = out_->events;
-    if (!ev.empty() && ev.back().kind == EventKind::kCompute) {
-      ev.back().cycles += cycles;
-      ev.back().lanes += cycles * active;
-      return;
-    }
-    ParamEvent e;
-    e.kind = EventKind::kCompute;
-    e.cycles = cycles;
-    e.lanes = cycles * active;
-    ev.push_back(std::move(e));
-  }
-
   SymRec& rec_for(std::int32_t slot, bool is_store) {
     for (auto& r : recs_) {
       if (r.slot == slot && r.is_store == is_store) return r;
@@ -181,25 +166,22 @@ class Symbolic {
 
   void flush() {
     for (auto& r : recs_) {
-      ParamEvent e;
-      e.kind = EventKind::kMem;
-      e.slot = r.slot;
-      e.is_store = r.is_store;
-      e.dx = r.dx;
-      e.dy = r.dy;
-      e.dz = r.dz;
+      std::sort(r.sectors.begin(), r.sectors.end());
       // Pre-dedup lane accesses: identical to the concrete VM's count
-      // (one address per active lane per instruction).
-      e.lanes = static_cast<std::uint32_t>(r.base_addrs.size());
-      std::sort(r.base_addrs.begin(), r.base_addrs.end());
-      e.base_addrs = std::move(r.base_addrs);
-      out_->events.push_back(std::move(e));
+      // (one address per active lane per instruction). The site id is
+      // fixed later, from the slot, in the generation block's warp order.
+      out_->trace->push_mem(0, r.is_store, static_cast<std::uint32_t>(r.sectors.size()),
+                            r.sectors.data(), r.sectors.size(), {r.sx, r.sy, r.sz});
+      out_->slots.push_back(r.slot);
     }
     recs_.clear();
   }
 
   /// Records one global access: index must be affine and in bounds over
-  /// the whole grid box, with lane-uniform block coefficients per record.
+  /// the whole grid box, with lane-uniform block coefficients per record
+  /// whose byte deltas are whole 32 B sectors (so every block's sectors
+  /// are the base sectors plus one stride sum, and replay needs no
+  /// per-lane work).
   void record_access(const Ins& ins, Mask active, bool is_store) {
     const bc::SiteSlot& slot = p_.sites[static_cast<std::size_t>(ins.x)];
     const DeviceArray& arr = *slot.array;
@@ -215,15 +197,16 @@ class Symbolic {
       const std::int64_t dy = wrap_mul(idx.cy[l], elem);
       const std::int64_t dz = wrap_mul(idx.cz[l], elem);
       if (!rec.have_delta) {
-        rec.dx = dx;
-        rec.dy = dy;
-        rec.dz = dz;
+        if (dx % 32 != 0 || dy % 32 != 0 || dz % 32 != 0) throw Bail{};
+        rec.sx = dx / 32;
+        rec.sy = dy / 32;
+        rec.sz = dz / 32;
         rec.have_delta = true;
-      } else if (rec.dx != dx || rec.dy != dy || rec.dz != dz) {
+      } else if (rec.sx * 32 != dx || rec.sy * 32 != dy || rec.sz * 32 != dz) {
         throw Bail{};
       }
-      rec.base_addrs.push_back(arr.base +
-                               static_cast<std::uint64_t>(idx.b[l]) * static_cast<std::uint64_t>(elem));
+      rec.sectors.push_back(
+          (arr.base + static_cast<std::uint64_t>(idx.b[l]) * static_cast<std::uint64_t>(elem)) / 32);
     }
   }
 
@@ -247,6 +230,7 @@ class Symbolic {
 
 ParamWarpTrace Symbolic::run_warp(int wid) {
   ParamWarpTrace pt;
+  pt.trace = std::make_shared<TraceData>();
   out_ = &pt;
   recs_.clear();
 
@@ -845,17 +829,14 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         break;
       }
       case Op::kCompute:
-        emit_compute(static_cast<std::uint32_t>(ins.x), rs.active_lanes());
+        out_->trace->push_compute(static_cast<std::uint32_t>(ins.x), rs.active_lanes());
         break;
       case Op::kFlush:
         flush();
         break;
-      case Op::kBarrier: {
-        ParamEvent e;
-        e.kind = EventKind::kBarrier;
-        out_->events.push_back(std::move(e));
+      case Op::kBarrier:
+        out_->trace->push_barrier();
         break;
-      }
       case Op::kJump:
         pc = static_cast<std::size_t>(ins.x);
         continue;
@@ -895,15 +876,11 @@ ParamWarpTrace Symbolic::run_warp(int wid) {
         break;
       case Op::kError:
         throw Bail{};  // the fallback VM raises the error per block
-      case Op::kEnd: {
-        ParamEvent e;
-        e.kind = EventKind::kEnd;
-        out_->events.push_back(std::move(e));
-        pt.div = rs.counters();
-        pt.valid = true;
+      case Op::kEnd:
+        pt.trace->set_div(rs.counters());
+        pt.trace->push_end();
         out_ = nullptr;
         return pt;
-      }
     }
     ++pc;
   }
@@ -933,82 +910,14 @@ std::vector<ParamWarpTrace> symbolize(const bc::Program& prog, const arch::Launc
   return out;
 }
 
-namespace {
-
-/// Translate pass of the render: sector index of every base address
-/// shifted by the block's byte delta. Kept as a separate flat loop so the
-/// AVX2 clone below auto-vectorizes it 4 lanes per 256-bit op (64-bit
-/// add + shift); the branchy sector-dedup/line-merge stays scalar over
-/// the translated buffer.
-void translate_sectors_base(const std::uint64_t* addrs, std::size_t n, std::uint64_t delta,
-                            std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (addrs[i] + delta) / 32;
-}
-
-#if defined(CATT_SIMD_AVX2_DISPATCH)
-__attribute__((target("avx2"))) void translate_sectors_avx2(const std::uint64_t* addrs,
-                                                            std::size_t n, std::uint64_t delta,
-                                                            std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (addrs[i] + delta) / 32;
-}
-#endif
-
-inline void translate_sectors(const std::uint64_t* addrs, std::size_t n, std::uint64_t delta,
-                              std::uint64_t* out) {
-#if defined(CATT_SIMD_AVX2_DISPATCH)
-  if (kSimdHasAvx2) {
-    translate_sectors_avx2(addrs, n, delta, out);
-    return;
+void fix_sites(ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table) {
+  TraceData& t = *pt.trace;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t.kind(i) == EventKind::kMem) t.set_site(i, table.id_for(prog, pt.slots[k++]));
   }
-#endif
-  translate_sectors_base(addrs, n, delta, out);
-}
-
-}  // namespace
-
-WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
-                 const arch::Dim3& block_idx, int line_bytes,
-                 const std::shared_ptr<TxnPool>& pool) {
-  WarpTrace t(pool);
-  t.reserve(pt.events.size());
-  const std::uint64_t sectors_per_line = static_cast<std::uint64_t>(line_bytes) / 32;
-  // Per-thread scratch for the translated sectors: launches on different
-  // pool workers render concurrently, and steady state allocates nothing.
-  thread_local std::vector<std::uint64_t> sectors;
-  for (const ParamEvent& pe : pt.events) {
-    switch (pe.kind) {
-      case EventKind::kCompute:
-        // Symbolic events are already merged; replay them one-for-one so
-        // the rendered trace matches the concrete VM's event sequence.
-        t.push_compute_raw(pe.cycles, pe.lanes);
-        break;
-      case EventKind::kMem: {
-        t.begin_mem(table.id_for(prog, pe.slot), pe.is_store, pe.lanes);
-        const std::uint64_t delta = static_cast<std::uint64_t>(pe.dx) * block_idx.x +
-                                    static_cast<std::uint64_t>(pe.dy) * block_idx.y +
-                                    static_cast<std::uint64_t>(pe.dz) * block_idx.z;
-        sectors.resize(pe.base_addrs.size());
-        translate_sectors(pe.base_addrs.data(), pe.base_addrs.size(), delta, sectors.data());
-        // base_addrs is sorted and the delta is uniform, so the translated
-        // sectors stay sorted; sector dedup and line merge in one pass.
-        std::uint64_t last_sector = ~std::uint64_t{0};
-        for (const std::uint64_t sector : sectors) {
-          if (sector == last_sector) continue;
-          last_sector = sector;
-          t.mem_sector(sector / sectors_per_line);
-        }
-        break;
-      }
-      case EventKind::kBarrier:
-        t.push_barrier();
-        break;
-      case EventKind::kEnd:
-        t.set_div(pt.div);
-        t.push_end();
-        break;
-    }
-  }
-  return t;
+  pt.slots.clear();
+  pt.sites_fixed = true;
 }
 
 }  // namespace catt::sim::dedup

@@ -8,15 +8,18 @@
 // it: each warp is executed once symbolically with blockIdx kept as a
 // variable, every lane value an affine form b + cx*bx + cy*by + cz*bz.
 // The attempt succeeds only if every branch/loop decision is uniform over
-// the whole grid, every address is affine with lane-uniform coefficients,
-// and every bounds check holds over the whole grid box. Warps that fail
+// the whole grid, every address is affine with lane-uniform coefficients
+// whose per-block byte deltas are whole 32 B sectors, and every bounds
+// check holds over the whole grid box. A proven warp is compiled straight
+// into the shared trace format (trace.hpp) with per-block sector strides,
+// and every block replays that one trace in place. Warps that fail
 // any condition (or touch anything non-affine) fall back to the concrete
 // VM per block, so the result is bit-identical by construction, never
 // heuristic. Symbolization runs before the first block under a key, so
 // no block is executed concretely only to be re-derived.
 //
-// A symbolic pass costs about two concrete block runs and a render about
-// a quarter of one, so dedup pays only from the third block under a key;
+// A symbolic pass costs about two concrete block runs and a shared warp
+// next to nothing, so dedup pays only from the third block under a key;
 // the runner leaves the key at 0 (dedup off) below that.
 //
 // The cache is keyed by (kernel fingerprint, launch config, block-
@@ -28,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "arch/launch.hpp"
@@ -36,33 +40,24 @@
 
 namespace catt::sim::dedup {
 
-/// One event of a block-parametric warp trace. kMem events carry the
-/// byte-address vector for block (0,0,0) (sorted) plus the per-block-
-/// coordinate byte deltas; rendering adds the delta and redoes the
-/// sector/line coalescing (the delta need not be sector-aligned).
-struct ParamEvent {
-  EventKind kind = EventKind::kCompute;
-  std::uint32_t cycles = 0;                // kCompute
-  std::uint32_t lanes = 0;                 // lane work (see WarpTrace::lane_work)
-  std::int32_t slot = -1;                  // kMem: Program site slot
-  bool is_store = false;                   // kMem
-  std::int64_t dx = 0, dy = 0, dz = 0;     // kMem: byte delta per block coord
-  std::vector<std::uint64_t> base_addrs;   // kMem: sorted byte addrs at (0,0,0)
-};
-
+/// One warp's block-parametric trace, in the shared trace format
+/// (trace.hpp): every kMem event carries its sorted, distinct base sectors
+/// at block (0,0,0) and the sector strides dedup proved. Divergence
+/// counters are block-invariant for a proven warp: cond_mask() bails unless
+/// every branch decision is uniform over the grid, so the mask history
+/// (and thus these counters and every event's lane work) is identical in
+/// all blocks.
 struct ParamWarpTrace {
-  bool valid = false;  // false => render impossible, use the concrete VM
-  std::vector<ParamEvent> events;
-  // Divergence counters are block-invariant for a provably-affine warp:
-  // cond_mask() bails unless every branch decision is uniform over the
-  // grid, so the mask history (and thus these counters and every event's
-  // lane work) is identical in all rendered blocks.
-  simt::DivCounters div;
+  std::shared_ptr<TraceData> trace;  // null => not proven, run on the VM
+  /// Program site slot of each kMem event, in event order, until
+  /// fix_sites() turns them into site ids.
+  std::vector<std::int32_t> slots;
+  bool sites_fixed = false;
 };
 
 /// Cached state for one (kernel, launch, params) fingerprint. The site
-/// table is shared by renders and VM fallbacks so id assignment keeps the
-/// interpreter's first-dynamic-encounter order across launches.
+/// table is shared by proven warps and VM fallbacks so id assignment keeps
+/// the interpreter's first-dynamic-encounter order across launches.
 struct DedupEntry {
   bool generated = false;
   std::vector<ParamWarpTrace> warps;  // indexed by warp id within a block
@@ -86,12 +81,10 @@ class TraceDedup {
 /// fallback warp would invalidate the symbolic shared state behind it).
 std::vector<ParamWarpTrace> symbolize(const bc::Program& prog, const arch::LaunchConfig& launch);
 
-/// Renders one parametric warp trace for a concrete block. `table`
-/// resolves site slots to ids; the generation block's renders and VM
-/// fallbacks assign them, in warp order, so later blocks only read it.
-/// Transactions land in `pool` (shared by the block's warps).
-WarpTrace render(const ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table,
-                 const arch::Dim3& block_idx, int line_bytes,
-                 const std::shared_ptr<TxnPool>& pool);
+/// Resolves a proven warp's site slots to ids through `table`, in event
+/// order. The generation block calls it for each proven warp in warp
+/// order, interleaved with the VM fallbacks, so the numbering is the VM's
+/// first-dynamic-encounter numbering; afterwards the trace is immutable.
+void fix_sites(ParamWarpTrace& pt, const bc::Program& prog, bc::SiteTable& table);
 
 }  // namespace catt::sim::dedup

@@ -129,7 +129,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
           ? occupancy::compute_with_tb_cap(arch_, *spec.kernel, spec.launch, opts.tb_cap)
           : occupancy::compute(arch_, *spec.kernel, spec.launch);
 
-  KernelInterp interp(*spec.kernel, spec.launch, spec.params, mem_, arch_.line_bytes);
+  KernelInterp interp(*spec.kernel, spec.launch, spec.params, mem_);
   if (opts.skip_functional && interp.trace_pure()) {
     interp.set_functional(false);
     if (opts.trace_key != 0) interp.enable_dedup(dedup_, opts.trace_key);
@@ -223,9 +223,9 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
     reg.add(reg.counter("sim.warps_scanned"), stats.warps_scanned);
     reg.add(reg.counter("sim.warps_issued"), stats.warp_insts);
     reg.add(reg.counter("sim.queue_pops"), stats.queue_pops);
-    // Trace-generation attribution: how blocks were produced (rendered
-    // vs concretely executed warps).
-    reg.add(reg.counter("sim.tracegen.warps_rendered"), interp.warps_rendered());
+    // Trace-generation attribution: how blocks were produced (warps served
+    // from a dedup key's shared trace vs concretely executed warps).
+    reg.add(reg.counter("sim.tracegen.warps_rendered"), interp.warps_shared());
     reg.add(reg.counter("sim.tracegen.warps_executed"), interp.warps_executed());
     if (opts.sched.enabled()) {
       reg.add(reg.counter("sim.sched.vetoes"), stats.sched_vetoes);
@@ -264,7 +264,7 @@ KernelStats Gpu::run(const LaunchSpec& spec, const SimOptions& opts) {
         " trace_gen_ms=" + std::to_string(gen_ms) +
         " timing_ms=" + std::to_string(total_ms - gen_ms) +
         " total_ms=" + std::to_string(total_ms) +
-        " warps_rendered=" + std::to_string(interp.warps_rendered()) +
+        " warps_rendered=" + std::to_string(interp.warps_shared()) +
         " warps_executed=" + std::to_string(interp.warps_executed()) +
         " sm_steps=" + std::to_string(stats.sm_steps) +
         " warps_scanned=" + std::to_string(stats.warps_scanned) +

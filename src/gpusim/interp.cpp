@@ -32,8 +32,8 @@ struct CostModel {
 }  // namespace
 
 KernelInterp::KernelInterp(const ir::Kernel& kernel, const arch::LaunchConfig& launch,
-                           const expr::ParamEnv& params, DeviceMemory& mem, int line_bytes)
-    : kernel_(kernel), launch_(launch), params_(params), mem_(mem), line_bytes_(line_bytes) {
+                           const expr::ParamEnv& params, DeviceMemory& mem)
+    : kernel_(kernel), launch_(launch), params_(params), mem_(mem) {
   for (const auto& a : kernel_.arrays) {
     if (!mem_.has(a.name)) {
       throw SimError("kernel '" + kernel_.name + "': array '" + a.name + "' not allocated");
@@ -92,7 +92,7 @@ void KernelInterp::ensure_compiled() {
   if (prog_) return;
   prog_.emplace(bc::compile(kernel_, launch_, params_, mem_,
                             bc::CostTables{&stmt_cost_, &loop_iter_cost_}));
-  vm_.emplace(*prog_, launch_, line_bytes_, functional_);
+  vm_.emplace(*prog_, launch_, functional_);
 }
 
 std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
@@ -100,9 +100,8 @@ std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
   const int warps = warps_per_block();
   std::vector<WarpTrace> out;
   out.reserve(static_cast<std::size_t>(warps));
-  auto pool = arena_.acquire();
   for (int w = 0; w < warps; ++w) {
-    out.push_back(vm_->run_warp(w, *table_, pool));
+    out.push_back(vm_->run_warp(w, *table_));
     ++executed_;
   }
   return out;
@@ -110,10 +109,7 @@ std::vector<WarpTrace> KernelInterp::run_block_vm(std::uint64_t block_linear) {
 
 std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear) {
   if (!entry_->generated) {
-    // First block under this key: prove the warps before running any, so
-    // this block renders its proven warps like every later one.
-    // Symbolization never assigns site ids; renders and VM fallbacks do,
-    // in warp order below, which is the first-encounter order.
+    // First block under this key: prove the warps before running any.
     entry_->warps = dedup::symbolize(*prog_, launch_);
     entry_->generated = true;
   }
@@ -122,21 +118,23 @@ std::vector<WarpTrace> KernelInterp::run_block_dedup(std::uint64_t block_linear)
   const int warps = warps_per_block();
   std::vector<WarpTrace> out;
   out.reserve(static_cast<std::size_t>(warps));
-  auto pool = arena_.acquire();
   bool vm_block_set = false;
   for (int w = 0; w < warps; ++w) {
-    const bool affine = static_cast<std::size_t>(w) < entry_->warps.size() &&
-                        entry_->warps[static_cast<std::size_t>(w)].valid;
-    if (affine) {
-      out.push_back(dedup::render(entry_->warps[static_cast<std::size_t>(w)], *prog_,
-                                  entry_->table, bid, line_bytes_, pool));
-      ++rendered_;
+    dedup::ParamWarpTrace* pt = static_cast<std::size_t>(w) < entry_->warps.size()
+                                    ? &entry_->warps[static_cast<std::size_t>(w)]
+                                    : nullptr;
+    if (pt != nullptr && pt->trace) {
+      // Site ids are fixed in warp order, interleaved with the VM
+      // fallbacks below, so they keep their first-encounter numbering.
+      if (!pt->sites_fixed) dedup::fix_sites(*pt, *prog_, entry_->table);
+      out.emplace_back(pt->trace, bid);
+      ++shared_;
     } else {
       if (!vm_block_set) {
         vm_->set_block(block_linear);
         vm_block_set = true;
       }
-      out.push_back(vm_->run_warp(w, *table_, pool));
+      out.push_back(vm_->run_warp(w, *table_));
       ++executed_;
     }
   }

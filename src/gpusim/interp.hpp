@@ -6,12 +6,13 @@
 // program (bytecode.hpp) and warps run as a tight dispatch loop over
 // 32-wide lane vectors. Optionally, block-parametric trace dedup
 // (dedup.hpp) proves most warps' traces are affine translates across
-// blocks and renders them instead of executing them. The proof runs
-// before the first block under a trace key, so every block, that one
-// included, renders its proven warps and runs only the rest on the VM.
-// Both stages are trace-exact: the original tree-walk implementation
-// survives as RefKernelInterp (ref_interp.hpp) and vm_test.cpp pins
-// equality.
+// blocks; a proven warp's trace is built once per key and every block
+// gets an O(1) handle on it (the timing model translates its sectors at
+// replay, trace.hpp). The proof runs before the first block under a trace
+// key, so every block, that one included, shares its proven warps and
+// runs only the rest on the VM. Both stages are trace-exact: the original
+// tree-walk implementation survives as the test-only RefKernelInterp
+// (tests/ref_interp.hpp) and vm_test.cpp pins equality.
 //
 // Modeling notes (documented limitations):
 //  * Warps of a block execute sequentially at trace-generation time, so
@@ -45,7 +46,7 @@ class KernelInterp {
   /// scalar arguments; every array parameter must already be allocated in
   /// `mem`. Throws catt::SimError on missing arrays.
   KernelInterp(const ir::Kernel& kernel, const arch::LaunchConfig& launch,
-               const expr::ParamEnv& params, DeviceMemory& mem, int line_bytes);
+               const expr::ParamEnv& params, DeviceMemory& mem);
 
   /// Executes block `block_linear` (row-major over the grid) functionally
   /// and returns one trace per warp of the block.
@@ -65,14 +66,16 @@ class KernelInterp {
   void set_functional(bool on);
 
   /// Attaches the block-parametric trace cache under `key`. Requires a
-  /// trace-pure kernel; renders affine warps instead of executing them.
-  /// The first block under a fresh key symbolizes every warp before any
-  /// of them runs; that block then renders and executes like every later
-  /// one, in warp order, so site ids keep their first-encounter order.
+  /// trace-pure kernel; shares affine warps' traces instead of executing
+  /// them. The first block under a fresh key symbolizes every warp before
+  /// any of them runs; that block then fixes the shared traces' site ids
+  /// and runs the VM fallbacks in warp order, so site ids keep their
+  /// first-encounter order.
   void enable_dedup(dedup::TraceDedup& cache, std::uint64_t key);
 
-  /// Dedup counters (for CATT_PROFILE attribution).
-  std::uint64_t warps_rendered() const { return rendered_; }
+  /// Dedup counters (for CATT_PROFILE attribution): warps served from a
+  /// key's shared trace, and warps executed on the VM.
+  std::uint64_t warps_shared() const { return shared_; }
   std::uint64_t warps_executed() const { return executed_; }
 
  private:
@@ -84,7 +87,6 @@ class KernelInterp {
   arch::LaunchConfig launch_;
   expr::ParamEnv params_;
   DeviceMemory& mem_;
-  int line_bytes_;
   bool pure_ = false;
   bool functional_ = true;
 
@@ -99,11 +101,8 @@ class KernelInterp {
   bc::SiteTable* table_ = &own_table_;  // entry's table when dedup is on
   dedup::DedupEntry* entry_ = nullptr;
 
-  std::uint64_t rendered_ = 0;
+  std::uint64_t shared_ = 0;
   std::uint64_t executed_ = 0;
-
-  /// Recycles per-block TxnPool allocations.
-  TxnArena arena_;
 };
 
 }  // namespace catt::sim

@@ -9,7 +9,11 @@ DeviceArray& DeviceMemory::emplace(DeviceArray a) {
   if (index_.contains(a.name)) throw SimError("array already allocated: " + a.name);
   a.base = next_base_;
   const std::size_t bytes = a.count() * ir::elem_size(a.type);
-  next_base_ += round_up<std::uint64_t>(bytes, kAlign) + kAlign;
+  const std::uint64_t end = next_base_ + round_up<std::uint64_t>(bytes, kAlign) + kAlign;
+  if (end > kAddressSpace) {
+    throw SimError("device address space exhausted allocating " + a.name);
+  }
+  next_base_ = end;
   index_[a.name] = arrays_.size();
   arrays_.push_back(std::move(a));
   return arrays_.back();

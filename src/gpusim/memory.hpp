@@ -31,11 +31,18 @@ class DeviceMemory {
   /// Page alignment between arrays; keeps distinct arrays in distinct
   /// cache lines and gives stable set-index behaviour.
   static constexpr std::uint64_t kAlign = 256;
+  /// Size of the device byte-address space: 2^32 sectors of 32 B (128 GiB,
+  /// ten times the modelled Titan V's 12 GB), so trace events store sector
+  /// ids in 32 bits. Every array is backed by host memory, so only a host
+  /// with more RAM than this could reach the cap.
+  static constexpr std::uint64_t kAddressSpace = std::uint64_t{32} << 32;
 
   DeviceArray& alloc_f32(const std::string& name, std::size_t count, float fill = 0.0f);
   DeviceArray& alloc_f32(const std::string& name, std::vector<float> data);
   DeviceArray& alloc_i32(const std::string& name, std::vector<std::int32_t> data);
   DeviceArray& alloc_i32(const std::string& name, std::size_t count, std::int32_t fill = 0);
+
+  // Allocation throws catt::SimError past kAddressSpace.
 
   /// Lookup; throws catt::SimError if absent.
   DeviceArray& array(const std::string& name);

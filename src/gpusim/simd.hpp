@@ -1,7 +1,6 @@
 // Shared runtime SIMD dispatch for the gpusim hot paths. One startup
 // probe decides whether the AVX2 clones of a handful of lane loops run
-// (cache tag scans, the dedup render translate pass, the VM's 32-lane
-// ALU); everywhere else the code compiles straight to the baseline
+// (cache tag scans, the VM's 32-lane ALU); everywhere else the code compiles straight to the baseline
 // SSE2/scalar bodies. The dispatch is only attempted where both
 // __builtin_cpu_supports and the target attribute exist (x86-64
 // gcc/clang).

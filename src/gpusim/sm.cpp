@@ -69,35 +69,12 @@ std::int64_t SmDatapath::mshr_load(std::uint64_t line, std::int64_t t_issue, int
 
 std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64_t now,
                                   int warp) {
-  const std::uint32_t n = t.txn_count(pc);
   const bool is_store = t.is_store(pc);
   ++stats.mem_insts;
-  stats.mem_requests += n;
   stats.lane_mem_insts += t.lane_work(pc);
-  if (request_series_ != nullptr && !is_store) {
-    request_series_->add(static_cast<double>(n));
-  }
-
-  // Fast path: one fully coalesced load — the case that dominates the CS
-  // workloads. Same LSU/probe/MSHR sequence as the loop below, minus the
-  // divergence bookkeeping.
-  if (n == 1 && !is_store) {
-    const Txn txn = t.txns(pc)[0];
-    const std::int64_t t_issue = std::max(now, lsu_next_free_);
-    lsu_next_free_ = t_issue + arch_.timing.lsu_issue_interval;
-    Cache::SetHint hint;
-    const std::int64_t hit = l1_.probe_load_fast(txn.line, t_issue, hint);
-    if (policy_ != nullptr) policy_->on_l1_access(warp, txn.line, hit != Cache::kProbeMiss);
-    const std::int64_t line_done =
-        hit != Cache::kProbeMiss ? hit + arch_.timing.l1_hit_latency
-                                 : mshr_load(txn.line, t_issue, txn.sectors, hint);
-    return std::max(now + 1, line_done);
-  }
 
   std::int64_t done = now + 1;
-  const Txn* txns = n != 0 ? t.txns(pc) : nullptr;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Txn& txn = txns[i];
+  const std::uint32_t n = t.for_each_txn(pc, sectors_per_line_, [&](const Txn& txn) {
     // LSU pipeline: one transaction per issue interval. Divergent
     // instructions (many lines) serialize here.
     const std::int64_t t_issue = std::max(now, lsu_next_free_);
@@ -106,8 +83,7 @@ std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64
     if (is_store) {
       l1_.note_store(txn.line);
       memsys_.store(txn.line, t_issue, txn.sectors);
-      done = std::max(done, t_issue + 1);
-      continue;
+      return;
     }
     Cache::SetHint hint;
     const std::int64_t hit = l1_.probe_load_fast(txn.line, t_issue, hint);
@@ -116,6 +92,10 @@ std::int64_t SmDatapath::exec_mem(const WarpTrace& t, std::size_t pc, std::int64
                                        ? hit + arch_.timing.l1_hit_latency
                                        : mshr_load(txn.line, t_issue, txn.sectors, hint);
     done = std::max(done, line_done);
+  });
+  stats.mem_requests += n;
+  if (request_series_ != nullptr && !is_store) {
+    request_series_->add(static_cast<double>(n));
   }
   // Stores are fire-and-forget: the warp proceeds once transactions are
   // handed to the LSU.
@@ -353,8 +333,7 @@ void Sm::issue(WarpCtx& w, std::int64_t now) {
       w.state = WarpState::kDone;
       if (policy_ != nullptr) policy_->on_warp_done(static_cast<int>(&w - warps_.data()), w.tb);
       --active_warps_;
-      // Release the trace storage; finished warps are never replayed (the
-      // block's shared txn pool dies with its last warp).
+      // Release the trace handle; finished warps are never replayed.
       w.trace.release();
       TbCtx& tb = tbs_[static_cast<std::size_t>(w.tb)];
       --tb.live_warps;

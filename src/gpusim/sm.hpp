@@ -1,6 +1,10 @@
 // Streaming-multiprocessor timing model: replays warp traces under a
 // greedy-then-oldest scheduler with an LSU pipeline, a private L1D, and
-// `__syncthreads()` barriers; misses go to the shared MemorySystem.
+// `__syncthreads()` barriers; misses go to the shared MemorySystem. A
+// memory event is replayed in place for the warp's block: its base
+// sectors are translated by the block's stride sum and grouped into line
+// transactions as they issue (WarpTrace::for_each_txn), so a trace shared
+// by every block of a dedup key is never copied.
 //
 // Two engines share one datapath (SmDatapath — LSU pipeline, L1D probe,
 // MSHR ring, request-series hook), so they can only diverge in scheduling:
@@ -103,13 +107,16 @@ class SmDatapath {
         l1_(l1_bytes, arch.line_bytes, arch.l1_assoc, Replacement::kRandom),
         request_series_(request_series),
         trace_(trace),
-        sm_index_(sm_index) {
+        sm_index_(sm_index),
+        sectors_per_line_(static_cast<std::uint64_t>(arch.line_bytes) / 32) {
     mshr_ring_.assign(static_cast<std::size_t>(std::max(1, arch.l1_mshrs)), 0);
   }
 
   /// Executes the kMem trace event `pc` of `t` issued at cycle `now` by
-  /// warp `warp` and returns the cycle the warp may proceed. The warp index
-  /// only feeds the (optional) scheduling policy's L1 feedback.
+  /// warp `warp` and returns the cycle the warp may proceed: replays the
+  /// event's sectors for the trace's block, one line transaction at a time
+  /// (WarpTrace::for_each_txn). The warp index only feeds the (optional)
+  /// scheduling policy's L1 feedback.
   std::int64_t exec_mem(const WarpTrace& t, std::size_t pc, std::int64_t now, int warp = -1);
 
   /// Optional throttling policy fed by L1D access/eviction events. Null
@@ -140,6 +147,7 @@ class SmDatapath {
   SeriesAccum* request_series_;
   const obs::SimTraceCtx* trace_;
   int sm_index_;
+  std::uint64_t sectors_per_line_;
   std::int64_t lsu_next_free_ = 0;
   /// Ring of in-flight miss completion times: a new miss must wait for the
   /// oldest MSHR to retire when all are busy. This caps the SM's miss

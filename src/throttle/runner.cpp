@@ -91,9 +91,11 @@ struct RunOutput {
 
 /// Fewest blocks (summed over every launch sharing a trace key) at which
 /// trace dedup pays for itself. Symbolizing a launch costs about two
-/// concrete block runs and rendering a block about a quarter of one, so
-/// at 2 blocks symbolize-and-render loses to running both on the VM
-/// (corr_kernel: 1.2-2.1 s symbolizing against 0.8-1.2 s executing).
+/// concrete block runs, while serving a proven warp from the shared trace
+/// costs next to nothing, so at 2 blocks symbolizing still loses to
+/// running both on the VM. corr's 2-block corr_kernel, whole launch
+/// (trace generation and timing), Release, 4-core host: 1.4-2.0 s on the
+/// VM against 2.5-3.7 s with symbolize and replay.
 constexpr std::uint64_t kMinDedupBlocks = 3;
 
 /// Builds the plan for `w` by applying `fn` to every schedule entry.

@@ -6,9 +6,9 @@
 // addressing in both grid dimensions).
 //
 // It is the suite's only producer/consumer warp-specialized kernel, and
-// the only one whose trace-dedup render of a warp (the producer's) is
-// block-invariant: every other workload indexes every array by global id,
-// so block coordinates enter every warp's translate deltas.
+// the only one with a warp (the producer) whose trace-dedup sector
+// strides are all zero: every other workload indexes every array by
+// global id, so block coordinates enter every warp's strides.
 //
 // Classification: CI. The inner loop's footprint is a couple of cache
 // lines per warp (contiguous taps window), far under the L1D, so Eq. 6

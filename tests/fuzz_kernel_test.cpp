@@ -37,7 +37,7 @@
 #include "gpusim/dedup.hpp"
 #include "gpusim/gpu.hpp"
 #include "gpusim/interp.hpp"
-#include "gpusim/ref_interp.hpp"
+#include "ref_interp.hpp"
 
 namespace catt::sim {
 namespace {
@@ -295,10 +295,13 @@ void expect_traces_equal(const std::vector<WarpTrace>& ref, const std::vector<Wa
       ASSERT_EQ(re.site(i), ge.site(i)) << at;
       ASSERT_EQ(re.is_store(i), ge.is_store(i)) << at;
       ASSERT_EQ(re.lane_work(i), ge.lane_work(i)) << at;
-      ASSERT_EQ(re.txn_count(i), ge.txn_count(i)) << at;
-      for (std::uint32_t t = 0; t < re.txn_count(i); ++t) {
-        ASSERT_EQ(re.txns(i)[t].line, ge.txns(i)[t].line) << at << " txn " << t;
-        ASSERT_EQ(re.txns(i)[t].sectors, ge.txns(i)[t].sectors) << at << " txn " << t;
+      if (re.kind(i) != EventKind::kMem) continue;
+      const std::vector<Txn> rt = replayed_txns(re, i, kLineBytes);
+      const std::vector<Txn> gt = replayed_txns(ge, i, kLineBytes);
+      ASSERT_EQ(rt.size(), gt.size()) << at;
+      for (std::size_t t = 0; t < rt.size(); ++t) {
+        ASSERT_EQ(rt[t].line, gt[t].line) << at << " txn " << t;
+        ASSERT_EQ(rt[t].sectors, gt[t].sectors) << at << " txn " << t;
       }
     }
     ASSERT_TRUE(re.div() == ge.div()) << label << " warp " << w << " divergence counters";
@@ -391,8 +394,8 @@ TEST(FuzzKernel, DifferentialVmDedupAndEngines) {
     setup_memory(mem_ref, seed, g);
     setup_memory(mem_vm, seed, g);
     {
-      RefKernelInterp ref(kern, g.launch, g.params, mem_ref, kLineBytes);
-      KernelInterp vm(kern, g.launch, g.params, mem_vm, kLineBytes);
+      RefKernelInterp ref(kern, g.launch, g.params, mem_ref);
+      KernelInterp vm(kern, g.launch, g.params, mem_vm);
       for (std::uint64_t b = 0; b < g.launch.num_blocks(); ++b) {
         expect_traces_equal(ref.run_block(b), vm.run_block(b),
                             "vm-vs-ref block " + std::to_string(b));
@@ -401,9 +404,9 @@ TEST(FuzzKernel, DifferentialVmDedupAndEngines) {
       expect_memory_equal(mem_ref, mem_vm);
     }
 
-    // 2. Dedup on vs. off (trace-pure kernels only): rendered traces must
-    //    be bit-identical to concrete execution, including the cache-hit
-    //    second launch.
+    // 2. Dedup on vs. off (trace-pure kernels only): replayed shared
+    //    traces must be bit-identical to concrete execution, including the
+    //    cache-hit second launch.
     const bool pure = bc::trace_data_independent(kern);
     EXPECT_EQ(pure, !g.data_dependent);
     (pure ? pure_seen : impure_seen) += 1;
@@ -412,9 +415,9 @@ TEST(FuzzKernel, DifferentialVmDedupAndEngines) {
       setup_memory(mem_plain, seed, g);
       setup_memory(mem_dedup, seed, g);
       dedup::TraceDedup cache;
-      KernelInterp plain(kern, g.launch, g.params, mem_plain, kLineBytes);
+      KernelInterp plain(kern, g.launch, g.params, mem_plain);
       for (int launch = 0; launch < 2; ++launch) {
-        KernelInterp dd(kern, g.launch, g.params, mem_dedup, kLineBytes);
+        KernelInterp dd(kern, g.launch, g.params, mem_dedup);
         dd.set_functional(false);
         dd.enable_dedup(cache, seed);
         for (std::uint64_t b = 0; b < g.launch.num_blocks(); ++b) {
@@ -489,8 +492,8 @@ TEST(FuzzKernel, DivergentDifferential) {
     setup_memory(mem_ref, seed, g);
     setup_memory(mem_vm, seed, g);
     {
-      RefKernelInterp ref(kern, g.launch, g.params, mem_ref, kLineBytes);
-      KernelInterp vm(kern, g.launch, g.params, mem_vm, kLineBytes);
+      RefKernelInterp ref(kern, g.launch, g.params, mem_ref);
+      KernelInterp vm(kern, g.launch, g.params, mem_vm);
       for (std::uint64_t b = 0; b < g.launch.num_blocks(); ++b) {
         const std::vector<WarpTrace> rt = ref.run_block(b);
         for (const WarpTrace& w : rt) divergent_warps += w.div().divergent_branches > 0;

@@ -34,7 +34,7 @@ __global__ void atax1(float *A, float *x, float *tmp, int NX) {
   mem.alloc_f32("tmp", static_cast<std::size_t>(nx), 0.0f);
 
   const arch::LaunchConfig launch{{1}, {256}};
-  KernelInterp interp(k, launch, {{"NX", nx}}, mem, 128);
+  KernelInterp interp(k, launch, {{"NX", nx}}, mem);
   interp.run_block(0);
 
   for (int i = 0; i < nx; ++i) {
@@ -60,7 +60,7 @@ __global__ void g(float *out, int N) {
   DeviceMemory mem;
   mem.alloc_f32("out", 64, 0.0f);
   const arch::LaunchConfig launch{{1}, {64}};
-  KernelInterp interp(k, launch, {{"N", 64}}, mem, 128);
+  KernelInterp interp(k, launch, {{"N", 64}}, mem);
   interp.run_block(0);
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(mem.f32("out")[static_cast<std::size_t>(i)], i % 2 == 0 ? 1.0f : 2.0f);
@@ -81,7 +81,7 @@ __global__ void g(float *out, int N) {
 )");
   DeviceMemory mem;
   mem.alloc_f32("out", 32, -1.0f);
-  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem, 128);
+  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem);
   interp.run_block(0);
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(mem.f32("out")[static_cast<std::size_t>(i)], static_cast<float>(i));
@@ -98,7 +98,7 @@ __global__ void g(float *out, int N) {
 )");
   DeviceMemory mem;
   mem.alloc_f32("out", 40, 0.0f);
-  KernelInterp interp(k, {{1}, {40}}, {{"N", 40}}, mem, 128);
+  KernelInterp interp(k, {{1}, {40}}, {{"N", 40}}, mem);
   auto traces = interp.run_block(0);
   EXPECT_EQ(traces.size(), 2u);
   for (int i = 0; i < 40; ++i) {
@@ -121,7 +121,7 @@ __global__ void g(float *in, float *out, int N) {
   for (int i = 0; i < 32; ++i) in[static_cast<std::size_t>(i)] = static_cast<float>(i);
   mem.alloc_f32("in", in);
   mem.alloc_f32("out", 32, 0.0f);
-  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem, 128);
+  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem);
   interp.run_block(0);
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(mem.f32("out")[static_cast<std::size_t>(i)], 2.0f * (31 - i));
@@ -141,7 +141,7 @@ __global__ void g(int *idx, float *data, float *out, int N) {
   mem.alloc_i32("idx", idx);
   mem.alloc_f32("data", data);
   mem.alloc_f32("out", 4, 0.0f);
-  KernelInterp interp(k, {{1}, {4}}, {{"N", 4}}, mem, 128);
+  KernelInterp interp(k, {{1}, {4}}, {{"N", 4}}, mem);
   interp.run_block(0);
   EXPECT_EQ(mem.f32("out")[0], 13.0f);
   EXPECT_EQ(mem.f32("out")[1], 11.0f);
@@ -161,7 +161,7 @@ __global__ void g(float *A, float *B, float *out, int N) {
   mem.alloc_f32("A", 32, 1.0f);
   mem.alloc_f32("B", 32 * 32, 2.0f);
   mem.alloc_f32("out", 32, 0.0f);
-  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem, 128);
+  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem);
   auto traces = interp.run_block(0);
   ASSERT_EQ(traces.size(), 1u);
 
@@ -169,7 +169,8 @@ __global__ void g(float *A, float *B, float *out, int N) {
   const WarpTrace& t0 = traces[0];
   for (std::size_t i = 0; i < t0.size(); ++i) {
     if (t0.kind(i) == EventKind::kMem && !t0.is_store(i)) {
-      lines_by_array[interp.sites()[t0.site(i)].array] = t0.txn_count(i);
+      lines_by_array[interp.sites()[t0.site(i)].array] =
+          t0.for_each_txn(i, /*sectors_per_line=*/4, [](const Txn&) {});
     }
   }
   EXPECT_EQ(lines_by_array.at("A"), 1u);
@@ -186,7 +187,7 @@ __global__ void g(float *out, int N) {
 )");
   DeviceMemory mem;
   mem.alloc_f32("out", 64, 0.0f);
-  KernelInterp interp(k, {{1}, {64}}, {{"N", 64}}, mem, 128);
+  KernelInterp interp(k, {{1}, {64}}, {{"N", 64}}, mem);
   auto traces = interp.run_block(0);
   int barriers = 0;
   int ends = 0;
@@ -208,7 +209,7 @@ __global__ void g(float *out, int N) {
 )");
   DeviceMemory mem;
   mem.alloc_f32("out", 16, 0.0f);
-  KernelInterp interp(k, {{1}, {16}}, {{"N", 16}}, mem, 128);
+  KernelInterp interp(k, {{1}, {16}}, {{"N", 16}}, mem);
   EXPECT_THROW(interp.run_block(0), SimError);
 }
 
@@ -219,10 +220,10 @@ __global__ void g(float *out, int N) {
 }
 )");
   DeviceMemory mem;
-  EXPECT_THROW(KernelInterp(k, {{1}, {16}}, {{"N", 16}}, mem, 128), SimError);
+  EXPECT_THROW(KernelInterp(k, {{1}, {16}}, {{"N", 16}}, mem), SimError);
   mem.alloc_f32("out", 16, 0.0f);
-  EXPECT_THROW(KernelInterp(k, {{1}, {16}}, {}, mem, 128), SimError);
-  KernelInterp ok(k, {{1}, {16}}, {{"N", 16}}, mem, 128);
+  EXPECT_THROW(KernelInterp(k, {{1}, {16}}, {}, mem), SimError);
+  KernelInterp ok(k, {{1}, {16}}, {{"N", 16}}, mem);
   EXPECT_THROW(ok.run_block(5), SimError);  // outside grid
 }
 
@@ -234,7 +235,7 @@ __global__ void g(float *out, int N) {
 )");
   DeviceMemory mem;
   mem.alloc_f32("out", 1, 0.0f);
-  KernelInterp interp(k, {{1}, {1}}, {{"N", 1}}, mem, 128);
+  KernelInterp interp(k, {{1}, {1}}, {{"N", 1}}, mem);
   interp.run_block(0);
   EXPECT_NEAR(mem.f32("out")[0], std::sqrt(2.0f) + std::exp(1.0f), 1e-5f);
 }
@@ -249,7 +250,7 @@ __global__ void g(float *out, int N) {
 )");
   DeviceMemory mem;
   mem.alloc_f32("out", 32, 0.0f);
-  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem, 128);
+  KernelInterp interp(k, {{1}, {32}}, {{"N", 32}}, mem);
   auto traces = interp.run_block(0);
   std::uint64_t compute_cycles = 0;
   for (std::size_t i = 0; i < traces[0].size(); ++i) {

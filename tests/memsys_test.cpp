@@ -1,9 +1,13 @@
-// Unit pins for the shared MemorySystem (L2 + DRAM bandwidth cursors) and
-// the SmDatapath MSHR ring: L2 service-interval serialization, sectored
-// DRAM fill cost, and miss stall when every MSHR is in flight.
+// Unit pins for the shared MemorySystem (L2 + DRAM bandwidth cursors),
+// the SmDatapath MSHR ring, and trace replay: L2 service-interval
+// serialization, sectored DRAM fill cost, miss stall when every MSHR is in
+// flight, and per-block sector translation and line grouping.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "gpusim/sm.hpp"
 
@@ -78,14 +82,16 @@ TEST(MemorySystem, StoreMissConsumesDramBandwidth) {
 
 /// Builds a single-warp trace with one `n_lines`-transaction load.
 WarpTrace divergent_load(int n_lines) {
-  WarpTrace t;
-  t.begin_mem(/*site=*/0, /*is_store=*/false, /*lanes=*/32);
+  auto t = std::make_shared<TraceData>();
+  std::vector<std::uint64_t> sectors;
   for (int i = 0; i < n_lines; ++i) {
-    // Distinct lines far apart so every probe misses a small L1.
-    t.mem_sector(static_cast<std::uint64_t>(i) * 1000);
+    // Distinct lines far apart so every probe misses a small L1 (4 sectors
+    // per 128 B line; one sector of each line).
+    sectors.push_back(static_cast<std::uint64_t>(i) * 1000 * 4);
   }
-  t.push_end();
-  return t;
+  t->push_mem(/*site=*/0, /*is_store=*/false, /*lanes=*/32, sectors.data(), sectors.size());
+  t->push_end();
+  return WarpTrace(std::move(t));
 }
 
 TEST(SmDatapath, MshrExhaustionStallsMisses) {
@@ -116,16 +122,16 @@ TEST(SmDatapath, MshrExhaustionStallsMisses) {
 }
 
 TEST(SmDatapath, SingleTxnFastPathMatchesGeneralPath) {
-  // The 1-transaction fully-coalesced load takes an inlined fast path;
-  // running the same access as the first transaction of a 2-transaction
-  // instruction goes through the general loop. Same line, same cold
-  // caches => identical completion time for that line's fill.
+  // A 1-transaction load completes at its line's fill time whichever line
+  // it names: a one-sector load of line 42 and the one-line divergent_load
+  // (line 0) see the same cold caches => identical completion time.
   const arch::GpuArch a = test_arch();
 
-  WarpTrace single;
-  single.begin_mem(0, false, /*lanes=*/32);
-  single.mem_sector(42);
-  single.push_end();
+  auto data = std::make_shared<TraceData>();
+  const std::uint64_t sector = 42 * 4;  // line 42
+  data->push_mem(0, false, /*lanes=*/32, &sector, 1);
+  data->push_end();
+  const WarpTrace single(std::move(data));
 
   MemorySystem ms1(a);
   SmDatapath dp1(a, ms1, 4096, nullptr);
@@ -180,6 +186,38 @@ TEST(SmDatapath, MshrInFlightMatchesDirectCompletionCount) {
 
 namespace catt::sim {
 namespace {
+
+/// Transactions kMem event 0 of `t` replays to, as (line, sectors) pairs.
+std::vector<std::pair<std::uint64_t, int>> replay(const WarpTrace& t) {
+  std::vector<std::pair<std::uint64_t, int>> out;
+  const std::uint32_t n = t.for_each_txn(0, /*sectors_per_line=*/4, [&](const Txn& txn) {
+    out.emplace_back(txn.line, txn.sectors);
+  });
+  EXPECT_EQ(n, out.size());
+  return out;
+}
+
+TEST(TraceReplay, GroupsTranslatedSectorsIntoLinesPerBlock) {
+  // Base sectors 1, 2 and 9 with strides of 2 sectors (64 B) per
+  // blockIdx.x and -4 sectors per blockIdx.y: each block translates the
+  // sectors, then consecutive sectors of one 4-sector line merge.
+  auto data = std::make_shared<TraceData>();
+  const std::uint64_t base[] = {1, 1, 2, 9};  // one duplicate lane sector
+  data->push_mem(/*site=*/3, /*is_store=*/false, /*lanes=*/4, base, 4, {2, -4, 0});
+  data->push_end();
+  using Txns = std::vector<std::pair<std::uint64_t, int>>;
+  // Block (0,0,0): sectors 1,2 | 9 -> line 0 with 2 sectors, line 2 with 1.
+  EXPECT_EQ(replay(WarpTrace(data, {0, 0, 0})), (Txns{{0, 2}, {2, 1}}));
+  // Block (1,0,0): sectors 3 | 4 | 11 -> the pair now straddles a line end.
+  EXPECT_EQ(replay(WarpTrace(data, {1, 0, 0})), (Txns{{0, 1}, {1, 1}, {2, 1}}));
+  // Block (3,1,0): 1+6-4=3 | 4 | 11, a negative stride term included.
+  EXPECT_EQ(replay(WarpTrace(data, {3, 1, 0})), (Txns{{0, 1}, {1, 1}, {2, 1}}));
+  // Block (2,0,0): 5,6 | 13 -> lines 1 and 3.
+  EXPECT_EQ(replay(WarpTrace(data, {2, 0, 0})), (Txns{{1, 2}, {3, 1}}));
+  // Lane work and the other columns are block-invariant.
+  EXPECT_EQ(WarpTrace(data, {2, 0, 0}).lane_work(0), 4u);
+  EXPECT_EQ(WarpTrace(data, {2, 0, 0}).site(0), 3u);
+}
 
 TEST(Gpu, IntervalSeriesMatchesKernelStats) {
   // A thrashing micro-kernel (working set >> L1D) so every rate the
